@@ -7,7 +7,8 @@ Identical arguments and seed produce byte-identical artifacts.
 Exit codes: 0 success, 1 model validation failure, 2 I/O or syntax error,
 3 the initial abstraction state was pruned (or could not be refined),
 4 restriction left an initial MDP state without actions, 5 the simulated
-trace violated the opacity threshold.
+trace violated the opacity threshold, 6 the edit engine had no output for
+the edited stream (its belief left the edit automaton).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .partition import (
 )
 from .simulation import opacity_monitor, random_actions, simulate, simulate_edited, trace_to_csv
 from .synthesis import (
+    EditUndefinedError,
     InitialStatePrunedError,
     STRATEGIES,
     allowed_to_csv,
@@ -145,6 +147,10 @@ def cmd_abstract(args) -> int:
 
 def cmd_synthesize(args) -> int:
     m = _load_validated(args)
+    targets = [t for t in (args.target or "").split(",") if t]
+    unknown = [t for t in targets if t not in m.states]
+    if unknown:
+        raise ModelFormatError(f"unknown target states {unknown}")
     p = _prepare_partition(args, m)
     out = _outdir(args)
     result = abstract(m, p, overlap_mode=args.overlap, clip=args.clip)
@@ -152,7 +158,6 @@ def cmd_synthesize(args) -> int:
         restricted = prune_blocking(restrict_actions(m, result.pruned))
         _write(out / "allowed.csv", allowed_to_csv(restricted))
         if args.target:
-            targets = [t for t in args.target.split(",") if t]
             policy = synthesize_reach_policy(restricted, targets)
             _write(out / "policy.csv", policy_to_csv(policy))
     else:
@@ -260,6 +265,9 @@ def main(argv=None) -> int:
     except InitialStatePrunedError as exc:
         log.error("%s", exc)
         return 4
+    except EditUndefinedError as exc:
+        log.error("%s", exc)
+        return 6
 
 
 if __name__ == "__main__":

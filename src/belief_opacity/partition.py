@@ -16,9 +16,10 @@ cells straddling the simplex boundary; we accept the conservatism.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,15 +62,18 @@ class PartitionCell:
 class Partition:
     """Interval cells covering [0, 1]^dim, listed in ascending id order.
 
-    ``grid_edges`` is set only for unrefined grids (cells in row-major order
-    over the per-axis edges); it enables a fast point-location path and is
-    dropped by refinement.
+    ``grid_edges`` are the per-axis edges of the grid the partition was
+    built on; grid cells are numbered in row-major order over them.  An
+    unrefined grid cell is the cell whose id equals its grid index;
+    ``splits`` maps each grid cell that refinement bisected to the ids of
+    the cells it now holds.  Together they index point location.
     """
 
     cells: tuple[PartitionCell, ...]
     widths: tuple[float, ...]
     dim: int
-    grid_edges: tuple[tuple[float, ...], ...] | None = None
+    grid_edges: tuple[tuple[float, ...], ...]
+    splits: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
@@ -78,18 +82,6 @@ class Partition:
     @cached_property
     def _by_id(self) -> dict[int, PartitionCell]:
         return {c.id: c for c in self.cells}
-
-    @cached_property
-    def _los(self) -> np.ndarray:
-        return np.array([c.box.lo for c in self.cells])
-
-    @cached_property
-    def _his(self) -> np.ndarray:
-        return np.array([c.box.hi for c in self.cells])
-
-    @cached_property
-    def _usable(self) -> np.ndarray:
-        return np.array([c.status != EXCLUDED for c in self.cells])
 
     def cell(self, cell_id: int) -> PartitionCell:
         return self._by_id[cell_id]
@@ -164,6 +156,21 @@ def build_grid(widths, m: Mdp) -> Partition:
     )
 
 
+def _grid_index(xs, p: Partition) -> tuple[int, ...]:
+    """Per-axis index of the half-open grid cell holding ``xs``; a
+    coordinate equal to 1.0 belongs to the last cell of its axis."""
+    return tuple(
+        min(bisect_right(edges, v) - 1, len(edges) - 2) for v, edges in zip(xs, p.grid_edges)
+    )
+
+
+def _flat(multi, p: Partition) -> int:
+    idx = 0
+    for i, edges in zip(multi, p.grid_edges):
+        idx = idx * (len(edges) - 1) + i
+    return idx
+
+
 def locate_cell(x: np.ndarray, p: Partition) -> int:
     """Id of the cell owning ``x``.
 
@@ -172,9 +179,15 @@ def locate_cell(x: np.ndarray, p: Partition) -> int:
     on the outer boundary of the belief domain fall back to the adjacent
     non-excluded cell.  Both rules collapse to one deterministic pick: among
     non-excluded cells whose closed box contains x, take the one with the
-    lexicographically largest lower corner.
+    lexicographically largest lower corner (then the largest id).
+
+    Only the cells of the at most 2^dim grid cells whose closed box holds x
+    are examined.  x's half-open grid cell, when unsplit and not excluded,
+    wins outright if no grid cell is split (every other candidate's lower
+    corner is componentwise no larger) or if x lies on none of its lower
+    faces (it is then the only candidate).
     """
-    xs = [float(v) for v in x]
+    xs = np.asarray(x, dtype=float).tolist()
     if len(xs) != p.dim:
         raise ValueError(f"expected a point of dimension {p.dim}")
     for v in xs:
@@ -182,26 +195,37 @@ def locate_cell(x: np.ndarray, p: Partition) -> int:
             raise ValueError(f"point {xs!r} outside the unit box")
     xs = [min(max(v, 0.0), 1.0) for v in xs]
 
-    if p.grid_edges is not None:
-        idx = 0
-        for k, edges in enumerate(p.grid_edges):
-            n_k = len(edges) - 1
-            i = bisect_right(edges, xs[k]) - 1
-            if i >= n_k:  # coordinate exactly 1.0 belongs to the last cell
-                i = n_k - 1
-            idx = idx * n_k + i
-        cell = p.cells[idx]
-        if cell.status != EXCLUDED:
-            return cell.id
-        # lower corner on the simplex boundary; use the generic fallback
+    idx = 0
+    on_face = False
+    for v, edges in zip(xs, p.grid_edges):
+        n_k = len(edges) - 1
+        i = bisect_right(edges, v) - 1
+        if i >= n_k:  # coordinate exactly 1.0 belongs to the last cell
+            i = n_k - 1
+        on_face = on_face or (i > 0 and edges[i] == v)
+        idx = idx * n_k + i
+    if idx not in p.splits and not (on_face and p.splits):
+        if p.cell(idx).status != EXCLUDED:
+            return idx
 
-    point = np.array(xs)
-    mask = p._usable & np.all(p._los <= point, axis=1) & np.all(point <= p._his, axis=1)
-    hits = np.nonzero(mask)[0]
-    if hits.size == 0:
+    axes = [
+        (i - 1, i) if i > 0 and edges[i] == v else (i,)
+        for i, v, edges in zip(_grid_index(xs, p), xs, p.grid_edges)
+    ]
+    best = None
+    for multi in itertools.product(*axes):
+        g = _flat(multi, p)
+        for cid in p.splits.get(g, (g,)):
+            c = p.cell(cid)
+            if c.status == EXCLUDED:
+                continue
+            if all(lo <= v <= hi for lo, v, hi in zip(c.box.lo, xs, c.box.hi)):
+                key = (tuple(c.box.lo), cid)
+                if best is None or key > best:
+                    best = key
+    if best is None:
         raise ValueError(f"point {xs!r} outside the belief domain")
-    best = max(hits, key=lambda i: (tuple(p._los[i]), p.cells[i].id))
-    return p.cells[best].id
+    return best[1]
 
 
 def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) -> Partition:
@@ -211,16 +235,17 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) ->
     secret dimension with the most room between x0 and the cell's upper
     face (ties to the lowest dimension), reclassifies both halves, and stops
     once x0's cell is safe.  Raises :class:`RefinementFailedError` after
-    ``max_depth`` bisections.
+    ``max_depth`` bisections.  Halves get fresh ids above every existing
+    one, and only the grid cell holding x0's cell is re-indexed.
     """
     x0 = np.asarray(x0, dtype=float)
+    cell = first = p.cell(locate_cell(x0, p))
+    if cell.status != BAD:
+        return p
     secret_dims = [k for k in sorted(m.secret) if k < p.dim]
-    for _ in range(max_depth):
-        cell = p.cell(locate_cell(x0, p))
-        if cell.status != BAD:
-            return p
-        if not secret_dims:
-            break
+    added: dict[int, PartitionCell] = {}  # halves not split again, by id
+    next_id = max(c.id for c in p.cells) + 1
+    for _ in range(max_depth if secret_dims else 0):
         room = [(float(cell.box.hi[k] - x0[k]), k) for k in secret_dims]
         _, axis = max(room, key=lambda t: (t[0], -t[1]))
         mid = 0.5 * (cell.box.lo[axis] + cell.box.hi[axis])
@@ -228,7 +253,6 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) ->
         lo_half_hi[axis] = mid
         hi_half_lo = cell.box.lo.copy()
         hi_half_lo[axis] = mid
-        next_id = max(c.id for c in p.cells) + 1
         halves = []
         for box in (
             IntervalBox(lo=cell.box.lo, hi=lo_half_hi),
@@ -236,15 +260,32 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) ->
         ):
             halves.append(PartitionCell(id=next_id, box=box, status=classify_cell(box, m)))
             next_id += 1
-        cells = tuple(c for c in p.cells if c.id != cell.id) + tuple(halves)
-        p = Partition(cells=cells, widths=p.widths, dim=p.dim)
-    cell = p.cell(locate_cell(x0, p))
+        added.pop(cell.id, None)
+        for half in halves:
+            added[half.id] = half
+        # x0 lay in the split cell, so it now lies in one of the halves; the
+        # upper half has the larger lower corner and wins when it holds x0
+        # and is not excluded (locate_cell's rule, without a lookup).
+        lower, upper = halves
+        cell = upper if x0[axis] >= mid and upper.status != EXCLUDED else lower
+        if cell.status != BAD:
+            break
     if cell.status == BAD:
         raise RefinementFailedError(
             f"initial cell still bad after {max_depth} bisections; "
             "the opacity threshold may be too tight around the initial belief"
         )
-    return p
+    # Every bisection after the first splits a half made here, so `first`
+    # is the only cell of p that goes.
+    g = _flat(_grid_index(first.box.lo, p), p)
+    kept = tuple(i for i in p.splits.get(g, (g,)) if i != first.id)
+    return Partition(
+        cells=tuple(c for c in p.cells if c.id != first.id) + tuple(added.values()),
+        widths=p.widths,
+        dim=p.dim,
+        grid_edges=p.grid_edges,
+        splits={**p.splits, g: kept + tuple(added)},
+    )
 
 
 def partition_to_csv(p: Partition) -> str:

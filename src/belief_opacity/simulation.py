@@ -7,7 +7,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .abstraction import BAD_STATE
 from .dynamics import AffineDecomposition, IntervalBox, belief_update, reduce_belief
@@ -215,6 +214,9 @@ def brute_reach_box(
     the domain, and returns the componentwise min/max envelope.  The result
     is always contained in the two-corner bound.
     """
+    # SciPy takes most of the package's import time and only this needs it.
+    from scipy.stats import qmc
+
     if samples < 1:
         raise ValueError("samples must be at least 1")
     corners = box.corners()

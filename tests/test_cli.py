@@ -1,8 +1,11 @@
 import filecmp
+from pathlib import Path
 
 import pytest
 
+from belief_opacity import cli
 from belief_opacity.cli import main
+from belief_opacity.synthesis import EditUndefinedError
 from conftest import BLOCKED_INITIAL_DOC, THREE_STATE_DOC
 
 
@@ -97,6 +100,15 @@ class TestSynthesize:
         dot = (out / "edit.dot").read_text()
         assert 'label="a2/a1"' in dot
 
+    def test_unknown_target_exits_two(self, tmp_path, capsys, caplog):
+        model = Path(__file__).parents[1] / "demos" / "models" / "three_state.yaml"
+        assert main(["synthesize", "--model", str(model), "--widths", "0.2",
+                     "--mode", "direct", "--target", "nosuch",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "unknown target states ['nosuch']" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_blocked_initial_state_exits_four(self, tmp_path):
         path = tmp_path / "blocked.yaml"
         path.write_text(BLOCKED_INITIAL_DOC)
@@ -129,6 +141,15 @@ class TestSimulate:
                      "--strategy", "match-if-safe", "--out", str(out)]) == 0
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[2] for row in rows[1:])  # output column filled
+
+    def test_stuck_edit_engine_exits_six(self, model_file, tmp_path, monkeypatch, caplog):
+        def stuck(*args, **kwargs):
+            raise EditUndefinedError("observer belief moved to cell 7")
+
+        monkeypatch.setattr(cli, "simulate_edited", stuck)
+        assert main(["simulate", "--model", model_file, "--steps", "5", "--edited",
+                     "--widths", "0.2", "--out", str(tmp_path / "out")]) == 6
+        assert "observer belief moved to cell 7" in caplog.text
 
     def test_edited_requires_widths(self, model_file, tmp_path):
         assert main(["simulate", "--model", model_file, "--steps", "5",

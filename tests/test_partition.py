@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belief_opacity as bo
 from conftest import random_mdp
@@ -162,6 +166,15 @@ class TestRefineInitial:
         assert float(cell.box.lo[0]) == lo
         assert float(cell.box.hi[0]) == hi
 
+    def test_point_on_a_split_line_keeps_the_upper_half(self):
+        # x0 = 0.5 lies on the first split line; the upper half owns it
+        m = two_state_model(lam=0.6, pi0=(0.5, 0.5))
+        x0 = np.array([0.5])
+        refined = bo.refine_initial(bo.build_grid(1.0, m), x0, m)
+        cell = refined.cell(bo.locate_cell(x0, refined))
+        assert cell.status == bo.SAFE
+        assert (float(cell.box.lo[0]), float(cell.box.hi[0])) == (0.5, 0.5625)
+
     def test_zero_budget_raises(self):
         m = two_state_model(lam=0.8, pi0=(0.75, 0.25))
         p = bo.build_grid(0.9, m)
@@ -177,6 +190,8 @@ class TestRefineInitial:
         x0 = bo.reduce_belief(m.pi0)
         refined = bo.refine_initial(p, x0, m)
         assert refined.cell(bo.locate_cell(x0, refined)).status == bo.SAFE
+        assert refined.grid_edges == p.grid_edges
+        assert list(refined.splits) == [bo.locate_cell(x0, p)]
         rng = np.random.default_rng(2)
         for x in rng.dirichlet(np.ones(3), size=500)[:, :2]:
             cell = refined.cell(bo.locate_cell(x, refined))
@@ -193,6 +208,87 @@ class TestRefineInitial:
                 inter_lo = np.maximum(c1.box.lo, c2.box.lo)
                 inter_hi = np.minimum(c1.box.hi, c2.box.hi)
                 assert not np.all(inter_lo < inter_hi)
+
+
+def scan_locate(x, p):
+    """Reference point location: test every cell.  Among non-excluded cells
+    whose closed box holds x, the lexicographically largest lower corner,
+    then the largest id; None when no cell qualifies."""
+    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    los = np.array([c.box.lo for c in p.cells])
+    his = np.array([c.box.hi for c in p.cells])
+    usable = np.array([c.status != bo.EXCLUDED for c in p.cells])
+    hits = np.nonzero(usable & np.all(los <= xs, axis=1) & np.all(xs <= his, axis=1))[0]
+    if hits.size == 0:
+        return None
+    return max((tuple(los[i]), p.cells[i].id) for i in hits)[1]
+
+
+def probe_points(p):
+    """Grid vertices and face centres, the corners and face centres of every
+    refined cell (its split lines), and the simplex-boundary points above
+    each grid vertex.  Vertices and faces include the outer boundary 1.0."""
+    edges = [np.array(e) for e in p.grid_edges]
+    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    pts = [np.array(v) for v in itertools.product(*edges)]
+    for k in range(p.dim):
+        axes = [edges[j] if j == k else mids[j] for j in range(p.dim)]
+        pts += [np.array(v) for v in itertools.product(*axes)]
+    n_grid = int(np.prod([len(e) - 1 for e in edges]))
+    for c in p.cells:
+        if c.id < n_grid:
+            continue
+        pts += [np.array(v) for v in itertools.product(*zip(c.box.lo, c.box.hi))]
+        centre = 0.5 * (c.box.lo + c.box.hi)
+        for k in range(p.dim):
+            for face in (c.box.lo[k], c.box.hi[k]):
+                q = centre.copy()
+                q[k] = face
+                pts.append(q)
+    for v in itertools.product(*edges):
+        rest = 1.0 - sum(v[:-1])
+        if rest >= 0.0:
+            pts.append(np.array(v[:-1] + (rest,)))
+    return pts
+
+
+@st.composite
+def refined_partitions(draw):
+    """A grid of 1-3 reduced dimensions, refined around up to three initial
+    beliefs whose cells are bad, plus a few random beliefs."""
+    dim = draw(st.integers(1, 3))
+    widths = [draw(st.sampled_from([0.5, 1 / 3, 0.3, 0.25])) for _ in range(dim)]
+    secret = draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    lam = draw(st.floats(0.2, 0.95))
+    m = bo.Mdp(
+        states=tuple(f"s{i}" for i in range(dim + 1)),
+        pi0=np.full(dim + 1, 1.0 / (dim + 1)),
+        actions=("a",),
+        trans={"a": np.eye(dim + 1)},
+        secret=frozenset(secret),
+        threshold=lam,
+    )
+    p = bo.build_grid(widths, m)
+    weights = st.lists(st.floats(0.01, 1.0), min_size=dim + 1, max_size=dim + 1)
+    beliefs = [np.array(w) / sum(w) for w in draw(st.lists(weights, min_size=1, max_size=6))]
+    for b in beliefs[:3]:
+        x0 = b[:-1]
+        if m.secret_mass(b) <= lam - 0.01 and p.cell(bo.locate_cell(x0, p)).status == bo.BAD:
+            p = bo.refine_initial(p, x0, m)
+    return p, [b[:-1] for b in beliefs]
+
+
+class TestLocateMatchesScan:
+    @settings(max_examples=60, deadline=None)
+    @given(refined_partitions())
+    def test_same_id_as_the_scan(self, case):
+        p, beliefs = case
+        for x in probe_points(p) + beliefs:
+            try:
+                got = bo.locate_cell(x, p)
+            except ValueError:
+                got = None
+            assert got == scan_locate(x, p), x
 
 
 class TestExports:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -213,3 +218,10 @@ class TestTraceCsv:
         assert lines[0] == "step,real,output,belief_s1,belief_s2,belief_s3,secret_mass,cell"
         assert lines[1].startswith("0,,,0.3,0.1,0.6,")
         assert lines[2].startswith("1,a1,a1,")
+
+
+def test_import_leaves_scipy_unloaded():
+    # SciPy is loaded on first use by brute_reach_box, not at package import
+    src = str(Path(bo.__file__).resolve().parents[1])
+    code = "import sys, belief_opacity; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
