@@ -31,6 +31,7 @@ from .dynamics import (
     decomposition,
     lift_belief,
     reach_box,
+    reach_boxes,
     reduce_belief,
 )
 from .model import (

@@ -1,20 +1,27 @@
 """Finite NFA abstraction of the belief dynamics over safe cells.
 
 Each safe cell becomes a state; one distinguished absorbing state ``bad``
-stands for every cell that overlaps the forbidden belief region.  For a cell
-q and action a, the two-corner reach box of q is intersected with every
-usable cell, and each overlap yields a transition.  Pruning then removes
-actions with an edge into ``bad`` and deletes states left without any
-enabled action, repeating to a fixpoint.
+stands for every cell that overlaps the forbidden belief region.  For each
+action the two-corner reach boxes of all safe cells are computed at once;
+each box covers a range of grid indices per axis, found by bisecting the
+grid edges, and every non-excluded cell in that block (the cells of a
+bisected grid cell are tested one by one) yields a transition.  The work
+is proportional to the edges found, not to safe x usable cell pairs.
+Pruning then computes the safety game's greatest fixpoint: an action is
+disabled when a successor is ``bad`` or a deleted state, and a state left
+without enabled actions is deleted.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import decomposition, reach_box, reduce_belief
+from .dynamics import decomposition, reach_boxes, reduce_belief
 from .model import Mdp, Nfa, _state_key
 from .partition import BAD, EXCLUDED, SAFE, Partition, locate_cell
 
@@ -68,16 +75,50 @@ class AbstractionResult:
     log: tuple[PruneEvent, ...]
 
 
-def boxes_overlap(alo, ahi, blo, bhi, mode: str = "strict") -> bool:
+# Per overlap mode: the comparison every coordinate test uses, and the
+# ``searchsorted`` side that counts the edges e with e < v (strict) or
+# e <= v (closed).
+_OVERLAP_RULES = {"strict": (np.less, "left"), "closed": (np.less_equal, "right")}
+
+
+def _overlap_rule(mode: str):
+    try:
+        return _OVERLAP_RULES[mode]
+    except KeyError:
+        raise ValueError(f"unknown overlap mode {mode!r}") from None
+
+
+def boxes_overlap(alo, ahi, blo, bhi, mode: str = "strict"):
     """Interval overlap test.  ``strict`` requires the interiors to meet,
-    ``closed`` also counts shared boundary points."""
-    lo = np.maximum(alo, blo)
-    hi = np.minimum(ahi, bhi)
-    if mode == "strict":
-        return bool(np.all(lo < hi))
-    if mode == "closed":
-        return bool(np.all(lo <= hi))
-    raise ValueError(f"unknown overlap mode {mode!r}")
+    ``closed`` also counts shared boundary points.  The corners broadcast
+    against each other, with coordinates on the last axis, so one box is
+    tested against many at once."""
+    less, _ = _overlap_rule(mode)
+    return np.all(less(np.maximum(alo, blo), np.minimum(ahi, bhi)), axis=-1)
+
+
+def _grid_ranges(grid_edges, rlo: np.ndarray, rhi: np.ndarray, mode: str):
+    """Per axis, the index range ``[start, stop)`` of the grid cells each box
+    ``[rlo[r], rhi[r]]`` overlaps; both are boxes x dim integer arrays, and
+    an empty range has ``stop == start``.
+
+    Grid cell i of an axis spans ``[e_i, e_(i+1)]`` with ``e_i < e_(i+1)``,
+    so :func:`boxes_overlap`'s test on that axis is ``rlo < rhi``,
+    ``e_i < rhi`` and ``rlo < e_(i+1)`` (each ``<=`` when closed).
+    """
+    less, side = _overlap_rule(mode)
+    other = "right" if side == "left" else "left"
+    start = np.empty(rlo.shape, dtype=np.intp)
+    stop = np.empty(rlo.shape, dtype=np.intp)
+    for k, edges in enumerate(grid_edges):
+        # e_i < rhi exactly for i < searchsorted(e, rhi, side)
+        stop[:, k] = np.minimum(np.searchsorted(edges, rhi[:, k], side), len(edges) - 1)
+        # rlo < e_(i+1) exactly for i + 1 >= searchsorted(e, rlo, other)
+        start[:, k] = np.maximum(np.searchsorted(edges, rlo[:, k], other) - 1, 0)
+    stop = np.maximum(stop, start)
+    empty = ~np.all(less(rlo, rhi), axis=1)
+    stop[empty] = start[empty]
+    return start, stop
 
 
 def build_abstraction(
@@ -90,98 +131,117 @@ def build_abstraction(
     initial state is the cell containing the reduced initial belief; if that
     cell is bad, :class:`BadInitialCellError` asks the caller to refine.
     """
-    if overlap_mode not in ("strict", "closed"):
-        raise ValueError(f"unknown overlap mode {overlap_mode!r}")
+    _overlap_rule(overlap_mode)
     x0 = reduce_belief(m.pi0)
     initial_cell = locate_cell(x0, p)
-    if p.cell(initial_cell).status == BAD:
+    if p.status[p.row(initial_cell)] == BAD:
         raise BadInitialCellError(
             f"initial belief lies in bad cell {initial_cell}; refine the partition first"
         )
 
-    safe = [c for c in p.cells if c.status == SAFE]
-    usable = [c for c in p.cells if c.status != EXCLUDED]
-    los = np.array([c.box.lo for c in usable])
-    his = np.array([c.box.hi for c in usable])
+    # what an overlapped cell contributes: its id, ``bad``, or nothing
+    target = {
+        cid: BAD_STATE if status == BAD else cid
+        for cid, status in zip(p.ids, p.status)
+        if status != EXCLUDED
+    }
+    # the cells of each bisected grid cell: their targets and boxes
+    split = {}
+    for g, members in p.splits.items():
+        rows = [p.row(cid) for cid in members]
+        split[g] = ([target.get(cid) for cid in members], p.lo[rows], p.hi[rows])
+    # grid cell (i_0, ..., i_(d-1)) is number sum(i_k * stride_k)
+    shape = [len(e) - 1 for e in p.grid_edges]
+    strides = [math.prod(shape[k + 1:]) for k in range(p.dim)]
 
+    safe = [r for r, status in enumerate(p.status) if status == SAFE]
     delta: dict = {}
     for a in m.actions:
-        d = decomposition(m, a)
-        for cell in safe:
-            r = reach_box(d, cell.box, clip=clip)
-            lo = np.maximum(r.lo, los)
-            hi = np.minimum(r.hi, his)
-            if overlap_mode == "strict":
-                hit = np.all(lo < hi, axis=1)
-            else:
-                hit = np.all(lo <= hi, axis=1)
+        rlo, rhi = reach_boxes(decomposition(m, a), p.lo[safe], p.hi[safe], clip=clip)
+        start, stop = _grid_ranges(p.grid_edges, rlo, rhi, overlap_mode)
+        for b, (row, first, last) in enumerate(zip(safe, start.tolist(), stop.tolist())):
             targets = set()
-            for idx in np.nonzero(hit)[0]:
-                c = usable[idx]
-                targets.add(BAD_STATE if c.status == BAD else c.id)
+            axes = [range(i * k, j * k, k) for i, j, k in zip(first, last, strides)]
+            for offsets in itertools.product(*axes):
+                g = sum(offsets)
+                if g in split:
+                    cell_targets, lo, hi = split[g]
+                    hit = boxes_overlap(rlo[b], rhi[b], lo, hi, overlap_mode)
+                    targets.update(t for t, h in zip(cell_targets, hit) if h and t is not None)
+                elif g in target:
+                    targets.add(target[g])
             if targets:
-                delta[(cell.id, a)] = frozenset(targets)
+                delta[(p.ids[row], a)] = frozenset(targets)
 
-    states = frozenset(c.id for c in safe) | {BAD_STATE}
+    states = frozenset(p.ids[r] for r in safe) | {BAD_STATE}
     return Nfa(states=states, alphabet=m.actions, delta=delta, initial=frozenset({initial_cell}))
 
 
 def prune(nfa: Nfa, initial: int, bad_state=BAD_STATE) -> tuple[Nfa, tuple[PruneEvent, ...]]:
-    """Remove bad-leading actions and blocking states to a fixpoint.
+    """Keep the largest set of states from which some action always stays
+    safe: the greatest fixpoint of the safety game against the
+    nondeterminism (controlled invariance).
 
-    Any action with an edge into ``bad`` is disabled outright (the
-    nondeterminism is adversarial).  A state left without enabled actions is
-    deleted together with its incoming edges; a predecessor whose action
-    thereby loses its last successor has that action disabled too.  States
-    are processed in ascending order and actions in alphabet order, and
-    every event is logged.  Deleting the initial state raises
+    The nondeterminism is adversarial, so an action is disabled as soon as
+    one of its successors is ``bad`` or a deleted state, and a state left
+    without enabled actions is deleted.  Every surviving action's successors
+    therefore all survive.  Bad-leading actions go first (states ascending,
+    actions in alphabet order).  States without enabled actions are then
+    deleted, in ascending order and after them in the order they lose their
+    last action; each deletion disables the actions into it, found through a
+    predecessor index, so the run is linear in the edges.  Every event is
+    logged.  Deleting the initial state raises
     :class:`InitialCellPrunedError`.
     """
     if initial not in nfa.states:
         raise ValueError(f"initial state {initial!r} not in the automaton")
     live = sorted((q for q in nfa.states if q != bad_state), key=_state_key)
-    alive = set(live)
-    succ = {k: set(v) for k, v in nfa.delta.items() if k[0] != bad_state}
+    enabled = {q: nfa.enabled(q) for q in live}
     events: list[PruneEvent] = []
+    disabled = set()
+    left = {q: len(acts) for q, acts in enabled.items()}
+
+    def disable(q, a, reason):
+        disabled.add((q, a))
+        left[q] -= 1
+        events.append(PruneEvent("disable", q, a, reason))
 
     for q in live:
-        for a in nfa.alphabet:
-            if (q, a) in succ and bad_state in succ[(q, a)]:
-                del succ[(q, a)]
-                events.append(PruneEvent("disable", q, a, "reaches the bad region"))
-
-    while True:
-        blocking = [
-            q for q in live if q in alive and not any((q, a) in succ for a in nfa.alphabet)
-        ]
-        if not blocking:
-            break
-        for q in blocking:
-            alive.discard(q)
-            events.append(PruneEvent("delete", q, None, "no enabled actions left"))
-            if q == initial:
-                raise InitialCellPrunedError(
-                    f"initial abstraction state {initial} was pruned; "
-                    + _FINER_PARTITION_HINT,
-                    events=tuple(events),
-                )
-            for p_ in live:
-                if p_ not in alive:
-                    continue
-                for a in nfa.alphabet:
-                    key = (p_, a)
-                    if key in succ and q in succ[key]:
-                        succ[key].discard(q)
-                        if not succ[key]:
-                            del succ[key]
-                            events.append(
-                                PruneEvent("disable", p_, a, "all successors pruned")
-                            )
+        for a in enabled[q]:
+            if bad_state in nfa.delta[(q, a)]:
+                disable(q, a, "reaches the bad region")
+    queue = deque(q for q in live if not left[q])
+    # the (state, action) keys of nfa.delta into each state, built once a
+    # state goes; the keys are shared, not copied
+    preds: dict = {}
+    if queue:
+        for key, targets in nfa.delta.items():
+            if key[0] in left:
+                for t in targets:
+                    preds.setdefault(t, []).append(key)
+    while queue:
+        q = queue.popleft()
+        events.append(PruneEvent("delete", q, None, "no enabled actions left"))
+        if q == initial:
+            raise InitialCellPrunedError(
+                f"initial abstraction state {initial} was pruned; " + _FINER_PARTITION_HINT,
+                events=tuple(events),
+            )
+        for p_, a in preds.get(q, ()):
+            if (p_, a) in disabled:
+                continue
+            disable(p_, a, f"leads to deleted state {q}")
+            if not left[p_]:
+                queue.append(p_)
 
     pruned = Nfa(
-        states=frozenset(alive),
+        states=frozenset(q for q in live if left[q]),
         alphabet=nfa.alphabet,
-        delta={k: frozenset(v) for k, v in succ.items()},
+        delta={
+            (q, a): frozenset(nfa.delta[(q, a)])
+            for q in live
+            for a in enabled[q] if (q, a) not in disabled
+        },
         initial=frozenset({initial}),
     )
     return pruned, tuple(events)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -63,13 +64,17 @@ class _ValidationFailed(Exception):
         self.report = report
 
 
-def _parse_widths(text: str) -> list[float]:
+def _parse_widths(text: str, dim: int) -> list[float]:
+    """One positive, finite grid width per reduced dimension, or one value
+    to broadcast."""
     try:
         widths = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ModelFormatError(f"invalid widths {text!r}") from None
-    if not widths or any(w <= 0 for w in widths):
-        raise ModelFormatError(f"widths must be positive numbers, got {text!r}")
+    if not widths or not all(math.isfinite(w) and w > 0 for w in widths):
+        raise ModelFormatError(f"widths must be positive finite numbers, got {text!r}")
+    if len(widths) not in (1, dim):
+        raise ModelFormatError(f"expected {dim} grid widths (or one), got {len(widths)}")
     return widths
 
 
@@ -88,7 +93,7 @@ def _load_validated(args):
 
 
 def _prepare_partition(args, m):
-    widths = _parse_widths(args.widths)
+    widths = _parse_widths(args.widths, m.n - 1)
     p = build_grid(widths[0] if len(widths) == 1 else widths, m)
     x0 = reduce_belief(m.pi0)
     if p.cell(locate_cell(x0, p)).status == BAD:

@@ -12,6 +12,10 @@ with axis-aligned cells and classify each one:
 
 The upper-corner test is exact for cells fully inside X and conservative for
 cells straddling the simplex boundary; we accept the conservatism.
+
+A :class:`Partition` keeps its cells as flat arrays (corners as cells x d
+float arrays, statuses and ids as tuples), classified in one vectorized
+pass; :class:`PartitionCell` objects are built only on request.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import IntervalBox
+from .dynamics import IntervalBox, _frozen
 from .model import Mdp
 
 __all__ = [
@@ -58,42 +62,76 @@ class PartitionCell:
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Interval cells covering [0, 1]^dim, listed in ascending id order.
+    """Interval cells covering [0, 1]^dim, stored row by row in ascending id
+    order.
+
+    Row ``r`` is the cell ``ids[r]`` with box ``[lo[r], hi[r]]`` (``lo`` and
+    ``hi`` are read-only cells x dim float arrays) and status ``status[r]``.
+    ``cells`` builds the matching :class:`PartitionCell` objects on first
+    use; the abstraction never needs them.
 
     ``grid_edges`` are the per-axis edges of the grid the partition was
     built on; grid cells are numbered in row-major order over them.  An
     unrefined grid cell is the cell whose id equals its grid index;
     ``splits`` maps each grid cell that refinement bisected to the ids of
-    the cells it now holds.  Together they index point location.
+    the cells it now holds.  Together they index point location and the
+    overlap search of the abstraction.
     """
 
-    cells: tuple[PartitionCell, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    status: tuple[str, ...]
+    ids: tuple[int, ...]
     widths: tuple[float, ...]
     dim: int
     grid_edges: tuple[tuple[float, ...], ...]
     splits: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "lo", _frozen(self.lo).reshape(-1, self.dim))
+        object.__setattr__(self, "hi", _frozen(self.hi).reshape(-1, self.dim))
+        object.__setattr__(self, "status", tuple(self.status))
+        object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "widths", tuple(self.widths))
 
     @cached_property
-    def _by_id(self) -> dict[int, PartitionCell]:
-        return {c.id: c for c in self.cells}
+    def _rows(self) -> dict[int, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def _cell_at(self, row: int) -> PartitionCell:
+        box = IntervalBox(lo=self.lo[row], hi=self.hi[row])
+        return PartitionCell(id=self.ids[row], box=box, status=self.status[row])
+
+    @cached_property
+    def cells(self) -> tuple[PartitionCell, ...]:
+        return tuple(self._cell_at(r) for r in range(len(self.ids)))
+
+    def row(self, cell_id: int) -> int:
+        """Row of cell ``cell_id`` in ``lo``, ``hi``, ``status`` and ``ids``."""
+        return self._rows[cell_id]
 
     def cell(self, cell_id: int) -> PartitionCell:
-        return self._by_id[cell_id]
+        return self._cell_at(self._rows[cell_id])
 
     def safe_cells(self) -> tuple[PartitionCell, ...]:
-        return tuple(c for c in self.cells if c.status == SAFE)
+        return tuple(self._cell_at(r) for r, s in enumerate(self.status) if s == SAFE)
 
     def counts(self) -> dict[str, int]:
-        out = {SAFE: 0, BAD: 0, EXCLUDED: 0}
-        for c in self.cells:
-            out[c.status] += 1
-        return out
+        return {s: self.status.count(s) for s in (SAFE, BAD, EXCLUDED)}
+
+
+def _classify(lo: np.ndarray, hi: np.ndarray, m: Mdp) -> list[str]:
+    """Status of each box ``[lo[r], hi[r]]``: excluded when the lower corner
+    sums to >= 1, bad when the upper corner's secret mass exceeds the
+    threshold, safe otherwise.  Row sums over C-ordered rows add each row as
+    ``row.sum()`` does, so one box and many classify alike."""
+    if len(m.secret) and max(m.secret) >= m.n - 1:
+        raise ValueError("model must be canonically ordered (last state non-secret)")
+    excluded = np.ascontiguousarray(lo).sum(axis=1) >= 1.0
+    bad = hi[:, m.secret_indices].sum(axis=1) > m.threshold
+    return np.where(excluded, EXCLUDED, np.where(bad, BAD, SAFE)).tolist()
 
 
 def classify_cell(box: IntervalBox, m: Mdp) -> str:
@@ -103,18 +141,12 @@ def classify_cell(box: IntervalBox, m: Mdp) -> str:
     reduced coordinates); the bad test compares the secret mass of the upper
     corner against the threshold, strictly.
     """
-    if len(m.secret) and max(m.secret) >= m.n - 1:
-        raise ValueError("model must be canonically ordered (last state non-secret)")
-    if float(box.lo.sum()) >= 1.0:
-        return EXCLUDED
-    if float(box.hi[m.secret_indices].sum()) > m.threshold:
-        return BAD
-    return SAFE
+    return _classify(box.lo[None, :], box.hi[None, :], m)[0]
 
 
 def _axis_edges(width: float) -> np.ndarray:
-    if width <= 0:
-        raise ValueError("grid widths must be positive")
+    if not math.isfinite(width) or width <= 0:
+        raise ValueError(f"grid widths must be positive and finite, got {width}")
     inv = 1.0 / width
     count = round(inv) if abs(inv - round(inv)) <= 1e-9 * inv else math.ceil(inv)
     count = max(count, 1)
@@ -126,10 +158,10 @@ def _axis_edges(width: float) -> np.ndarray:
 def build_grid(widths, m: Mdp) -> Partition:
     """Axis-aligned grid over [0, 1]^(N-1), each cell classified.
 
-    ``widths`` is one value per reduced dimension (a scalar is broadcast).
-    A width that does not divide 1 gets a truncated final cell.  Excluded
-    cells are kept in the listing for plotting but never become abstraction
-    states.
+    ``widths`` is one positive, finite value per reduced dimension (a scalar
+    is broadcast).  A width that does not divide 1 gets a truncated final
+    cell.  Excluded cells are kept in the listing for plotting but never
+    become abstraction states.
     """
     dim = m.n - 1
     if np.isscalar(widths):
@@ -138,21 +170,17 @@ def build_grid(widths, m: Mdp) -> Partition:
     if len(widths) != dim:
         raise ValueError(f"expected {dim} grid widths, got {len(widths)}")
     edges = [_axis_edges(w) for w in widths]
-    shape = [len(e) - 1 for e in edges]
-
-    cells = []
-    cell_id = 0
-    for multi in np.ndindex(*shape):
-        lo = np.array([edges[k][i] for k, i in enumerate(multi)])
-        hi = np.array([edges[k][i + 1] for k, i in enumerate(multi)])
-        box = IntervalBox(lo=lo, hi=hi)
-        cells.append(PartitionCell(id=cell_id, box=box, status=classify_cell(box, m)))
-        cell_id += 1
+    # row-major over the grid: the last axis varies fastest
+    lo = np.stack([g.ravel() for g in np.meshgrid(*[e[:-1] for e in edges], indexing="ij")], 1)
+    hi = np.stack([g.ravel() for g in np.meshgrid(*[e[1:] for e in edges], indexing="ij")], 1)
     return Partition(
-        cells=tuple(cells),
-        widths=tuple(widths),
+        lo=lo,
+        hi=hi,
+        status=_classify(lo, hi, m),
+        ids=range(len(lo)),
+        widths=widths,
         dim=dim,
-        grid_edges=tuple(tuple(float(v) for v in e) for e in edges),
+        grid_edges=tuple(tuple(e.tolist()) for e in edges),
     )
 
 
@@ -205,7 +233,7 @@ def locate_cell(x: np.ndarray, p: Partition) -> int:
         on_face = on_face or (i > 0 and edges[i] == v)
         idx = idx * n_k + i
     if idx not in p.splits and not (on_face and p.splits):
-        if p.cell(idx).status != EXCLUDED:
+        if p.status[p._rows[idx]] != EXCLUDED:
             return idx
 
     axes = [
@@ -216,11 +244,12 @@ def locate_cell(x: np.ndarray, p: Partition) -> int:
     for multi in itertools.product(*axes):
         g = _flat(multi, p)
         for cid in p.splits.get(g, (g,)):
-            c = p.cell(cid)
-            if c.status == EXCLUDED:
+            row = p._rows[cid]
+            if p.status[row] == EXCLUDED:
                 continue
-            if all(lo <= v <= hi for lo, v, hi in zip(c.box.lo, xs, c.box.hi)):
-                key = (tuple(c.box.lo), cid)
+            lo, hi = p.lo[row].tolist(), p.hi[row].tolist()
+            if all(a <= v <= b for a, v, b in zip(lo, xs, hi)):
+                key = (lo, cid)
                 if best is None or key > best:
                     best = key
     if best is None:
@@ -239,48 +268,51 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) ->
     one, and only the grid cell holding x0's cell is re-indexed.
     """
     x0 = np.asarray(x0, dtype=float)
-    cell = first = p.cell(locate_cell(x0, p))
-    if cell.status != BAD:
+    first = p.row(locate_cell(x0, p))
+    if p.status[first] != BAD:
         return p
     secret_dims = [k for k in sorted(m.secret) if k < p.dim]
-    added: dict[int, PartitionCell] = {}  # halves not split again, by id
-    next_id = max(c.id for c in p.cells) + 1
+    # halves not split again, by id: (lo, hi, status)
+    added: dict[int, tuple[np.ndarray, np.ndarray, str]] = {}
+    next_id = p.ids[-1] + 1
+    cell_id, lo, hi, status = p.ids[first], p.lo[first], p.hi[first], BAD
     for _ in range(max_depth if secret_dims else 0):
-        room = [(float(cell.box.hi[k] - x0[k]), k) for k in secret_dims]
+        room = [(float(hi[k] - x0[k]), k) for k in secret_dims]
         _, axis = max(room, key=lambda t: (t[0], -t[1]))
-        mid = 0.5 * (cell.box.lo[axis] + cell.box.hi[axis])
-        lo_half_hi = cell.box.hi.copy()
+        mid = 0.5 * (lo[axis] + hi[axis])
+        lo_half_hi = hi.copy()
         lo_half_hi[axis] = mid
-        hi_half_lo = cell.box.lo.copy()
+        hi_half_lo = lo.copy()
         hi_half_lo[axis] = mid
-        halves = []
-        for box in (
-            IntervalBox(lo=cell.box.lo, hi=lo_half_hi),
-            IntervalBox(lo=hi_half_lo, hi=cell.box.hi),
-        ):
-            halves.append(PartitionCell(id=next_id, box=box, status=classify_cell(box, m)))
-            next_id += 1
-        added.pop(cell.id, None)
-        for half in halves:
-            added[half.id] = half
+        los = np.array([lo, hi_half_lo])
+        his = np.array([lo_half_hi, hi])
+        lower, upper = _classify(los, his, m)
+        added.pop(cell_id, None)
+        added[next_id] = (los[0], his[0], lower)
+        added[next_id + 1] = (los[1], his[1], upper)
         # x0 lay in the split cell, so it now lies in one of the halves; the
         # upper half has the larger lower corner and wins when it holds x0
         # and is not excluded (locate_cell's rule, without a lookup).
-        lower, upper = halves
-        cell = upper if x0[axis] >= mid and upper.status != EXCLUDED else lower
-        if cell.status != BAD:
+        half = 1 if x0[axis] >= mid and upper != EXCLUDED else 0
+        cell_id, lo, hi, status = next_id + half, los[half], his[half], (lower, upper)[half]
+        next_id += 2
+        if status != BAD:
             break
-    if cell.status == BAD:
+    if status == BAD:
         raise RefinementFailedError(
             f"initial cell still bad after {max_depth} bisections; "
             "the opacity threshold may be too tight around the initial belief"
         )
-    # Every bisection after the first splits a half made here, so `first`
-    # is the only cell of p that goes.
-    g = _flat(_grid_index(first.box.lo, p), p)
-    kept = tuple(i for i in p.splits.get(g, (g,)) if i != first.id)
+    # Every bisection after the first splits a half made here, so row
+    # `first` is the only cell of p that goes.
+    g = _flat(_grid_index(p.lo[first], p), p)
+    kept = tuple(i for i in p.splits.get(g, (g,)) if i != p.ids[first])
+    new_lo, new_hi, new_status = zip(*added.values())
     return Partition(
-        cells=tuple(c for c in p.cells if c.id != first.id) + tuple(added.values()),
+        lo=np.concatenate([np.delete(p.lo, first, axis=0), new_lo]),
+        hi=np.concatenate([np.delete(p.hi, first, axis=0), new_hi]),
+        status=p.status[:first] + p.status[first + 1:] + new_status,
+        ids=p.ids[:first] + p.ids[first + 1:] + tuple(added),
         widths=p.widths,
         dim=p.dim,
         grid_edges=p.grid_edges,
@@ -295,12 +327,8 @@ def partition_to_csv(p: Partition) -> str:
     header += [f"hi{k}" for k in range(p.dim)]
     header += ["status"]
     lines = [",".join(header)]
-    for c in p.cells:
-        row = [str(c.id)]
-        row += [repr(float(v)) for v in c.box.lo]
-        row += [repr(float(v)) for v in c.box.hi]
-        row += [c.status]
-        lines.append(",".join(row))
+    for cid, lo, hi, status in zip(p.ids, p.lo.tolist(), p.hi.tolist(), p.status):
+        lines.append(",".join([str(cid), *map(repr, lo), *map(repr, hi), status]))
     return "\n".join(lines) + "\n"
 
 
@@ -325,23 +353,22 @@ def partition_to_svg(p: Partition, m: Mdp, initial: np.ndarray | None = None) ->
         f'<rect x="{sx(0)}" y="{sy(1)}" width="{size:.2f}" height="{size:.2f}" '
         'fill="white" stroke="black"/>',
     ]
-    for c in p.cells:
-        if c.status == EXCLUDED:
+    for cid, lo, hi, status in zip(p.ids, p.lo.tolist(), p.hi.tolist(), p.status):
+        if status == EXCLUDED:
             continue
-        lo, hi = c.box.lo, c.box.hi
         w = (hi[0] - lo[0]) * size
         h = (hi[1] - lo[1]) * size
-        fill = "#d98c8c" if c.status == BAD else "none"
+        fill = "#d98c8c" if status == BAD else "none"
         out.append(
             f'<rect x="{sx(lo[0])}" y="{sy(hi[1])}" width="{w:.2f}" height="{h:.2f}" '
             f'fill="{fill}" fill-opacity="0.6" stroke="#999999" stroke-width="0.5"/>'
         )
-        if c.status == SAFE:
+        if status == SAFE:
             cx = 0.5 * (lo[0] + hi[0])
             cy = 0.5 * (lo[1] + hi[1])
             out.append(
                 f'<text x="{sx(cx)}" y="{sy(cy)}" font-size="12" text-anchor="middle" '
-                f'dominant-baseline="middle" fill="#333333">{c.id}</text>'
+                f'dominant-baseline="middle" fill="#333333">{cid}</text>'
             )
     # simplex boundary x0 + x1 = 1
     out.append(

@@ -182,7 +182,7 @@ def soundness_check(
         for step, a in enumerate(seq, start=1):
             belief = belief_update(belief, a, m)
             next_cell = locate_cell(reduce_belief(belief), p)
-            if p.cell(next_cell).status == BAD:
+            if p.status[p.row(next_cell)] == BAD:
                 if BAD_STATE not in raw_t.successors(cell, a):
                     violations.append(
                         SoundnessViolation(

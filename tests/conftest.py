@@ -45,20 +45,21 @@ REF_SAFE_CORNERS = {
 }
 
 # Frozen model that drives the restriction to an empty action set at an
-# initial state (found by seeded search; kept literal for reproducibility).
+# initial state although the pruned abstraction keeps its initial cell
+# (random_mdp(default_rng(91), 3); kept literal for reproducibility).
 BLOCKED_INITIAL_DOC = """\
 states: [s1, s2, s3]
 actions: [a1, a2]
-pi0: [0.5202204683379649, 0.25125177179988506, 0.22852775986215013]
+pi0: [0.4243307809098009, 0.37265087701657146, 0.20301834207362773]
 trans:
   a1:
-    - [0.4109210173944213, 0.19638368312056556, 1.0]
-    - [0.21699314402836614, 0.1726465597539607, 0.0]
-    - [0.3720858385772125, 0.6309697571254738, 0.0]
+    - [0.43493486648470847, 0.0738626169432705, 0.06496597364076726]
+    - [0.33224961615007936, 0.2731116815804199, 0.7156425494570402]
+    - [0.23281551736521208, 0.6530257014763098, 0.21939147690219257]
   a2:
-    - [0.6209852073045294, 0.7472694573995845, 0.0]
-    - [0.01632686829835706, 0.0, 0.5320108812764851]
-    - [0.3626879243971134, 0.2527305426004156, 0.4679891187235149]
+    - [0.3386411114973616, 0.05239952155158638, 0.2667810668341873]
+    - [0.024096328537803555, 0.9368531968829754, 0.010555962392976992]
+    - [0.6372625599648348, 0.01074728156543813, 0.7226629707728358]
 secret: [s1, s2]
 lambda: 1.0
 """

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import belief_opacity as bo
 from conftest import random_mdp, ref_cells
@@ -106,6 +108,86 @@ class TestBuildAbstraction:
         assert checked >= 8
 
 
+def all_pairs_delta(m, p, overlap_mode, clip):
+    """Reference abstraction: one reach box per safe cell and action, tested
+    against every non-excluded cell."""
+    usable = [c for c in p.cells if c.status != bo.EXCLUDED]
+    los = np.array([c.box.lo for c in usable])
+    his = np.array([c.box.hi for c in usable])
+    delta = {}
+    for a in m.actions:
+        d = bo.decomposition(m, a)
+        for cell in p.safe_cells():
+            r = bo.reach_box(d, cell.box, clip=clip)
+            lo = np.maximum(r.lo, los)
+            hi = np.minimum(r.hi, his)
+            hit = np.all(lo < hi, axis=1) if overlap_mode == "strict" else np.all(lo <= hi, axis=1)
+            targets = {bo.BAD_STATE if usable[i].status == bo.BAD else usable[i].id
+                       for i in np.nonzero(hit)[0]}
+            if targets:
+                delta[(cell.id, a)] = targets
+    return delta
+
+
+@st.composite
+def abstraction_cases(draw):
+    """A random model with 2-4 states on a grid of widths that may not divide
+    1, refined around its initial belief and up to two more beliefs when
+    their cells are bad, plus an overlap mode and clipping.  Half the models
+    have transition probabilities in quarters, so that reach-box corners
+    fall exactly on grid edges."""
+    from dataclasses import replace
+
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_mdp(rng, n)
+    if draw(st.booleans()):
+        quarters = lambda: rng.multinomial(4, np.ones(n) / n) / 4
+        m = replace(m, trans={a: np.column_stack([quarters() for _ in range(n)])
+                              for a in m.actions})
+    lam = min(1.0, m.secret_mass(m.pi0) + draw(st.floats(0.005, 0.6)))
+    m = replace(m, threshold=lam)
+    widths = [draw(st.sampled_from([0.5, 1 / 3, 0.3, 0.25, 0.2, 0.15])) for _ in range(n - 1)]
+    p = bo.build_grid(widths, m)
+    beliefs = [m.pi0] + [rng.dirichlet(np.ones(n)) for _ in range(draw(st.integers(0, 2)))]
+    for b in beliefs:
+        x = bo.reduce_belief(b)
+        if m.secret_mass(b) <= lam - 0.001 and p.cell(bo.locate_cell(x, p)).status == bo.BAD:
+            try:
+                p = bo.refine_initial(p, x, m)
+            except bo.RefinementFailedError:
+                pass
+    return m, p, draw(st.sampled_from(["strict", "closed"])), draw(st.booleans())
+
+
+class TestGridIndexedOverlap:
+    @settings(max_examples=80, deadline=None)
+    @given(abstraction_cases())
+    def test_same_delta_as_all_pairs(self, case):
+        m, p, overlap_mode, clip = case
+        try:
+            nfa = bo.build_abstraction(m, p, overlap_mode=overlap_mode, clip=clip)
+        except bo.BadInitialCellError:
+            assume(False)
+        assert {k: set(v) for k, v in nfa.delta.items()} == all_pairs_delta(m, p, overlap_mode, clip)
+        assert nfa.states == {c.id for c in p.safe_cells()} | {bo.BAD_STATE}
+
+    @settings(max_examples=40, deadline=None)
+    @given(abstraction_cases())
+    def test_reach_boxes_rows_equal_reach_box(self, case):
+        m, p, _, clip = case
+        for a in m.actions:
+            d = bo.decomposition(m, a)
+            rlo, rhi = bo.reach_boxes(d, p.lo, p.hi, clip=clip)
+            for row, cell in enumerate(p.cells):
+                r = bo.reach_box(d, cell.box, clip=clip)
+                assert rlo[row].tobytes() == r.lo.tobytes()
+                assert rhi[row].tobytes() == r.hi.tobytes()
+                if not clip:  # and equal to f evaluated one vector at a time
+                    f = bo.decomp_eval(d, cell.box.lo, cell.box.hi)
+                    assert rlo[row].tobytes() == f.tobytes()
+
+
 class TestBoxesOverlap:
     def test_strict_needs_interior_contact(self):
         a = (np.array([0.0]), np.array([0.2]))
@@ -178,10 +260,11 @@ class TestPrune:
         pruned, log = bo.prune(nfa, 2)
         kinds = [(e.kind, e.state, e.action) for e in log]
         assert ("delete", 1, None) in kinds
-        assert ("disable", 0, "a") in kinds  # lost its only successor
+        assert ("disable", 0, "a") in kinds  # its successor 1 was deleted
         assert ("delete", 0, None) in kinds
+        assert ("disable", 2, "b") in kinds  # may still move to the deleted 0
         assert pruned.states == {2}
-        assert pruned.delta == {(2, "a"): {2}, (2, "b"): {2}}
+        assert pruned.delta == {(2, "a"): {2}}
 
     def test_idempotent(self, abstraction3):
         again, log = bo.prune(abstraction3.pruned, abstraction3.initial_cell)
@@ -226,6 +309,24 @@ class TestPrune:
             assert bo.BAD_STATE not in res.pruned.states
             for q in res.pruned.states:
                 assert res.pruned.enabled(q)
+
+
+    def test_fault_model_keeps_a_controlled_invariant_set(self):
+        # The rand-batch fault model: pruning once kept actions whose
+        # successors it deleted, and the edit stream below then left the
+        # edit automaton at step 2.
+        m = random_mdp(np.random.default_rng(911), 4, 2)
+        p = bo.build_grid(0.1, m)
+        res = bo.abstract(m, p)
+        for (q, a) in res.pruned.delta:
+            assert res.nfa.successors(q, a) <= res.pruned.states
+        for q in res.pruned.states:
+            assert res.pruned.enabled(q)
+        assert "leads to deleted state" in bo.format_prune_log(res.log)
+        engine = bo.EditEngine(m, p, bo.build_edit_automaton(res.pruned), strategy="lex-first")
+        rng = np.random.default_rng(0)
+        for i in rng.integers(len(m.actions), size=50):
+            engine.step(m.actions[i])
 
 
 class TestExports:

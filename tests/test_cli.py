@@ -74,6 +74,19 @@ lambda: 0.9
         assert header == "id,lo0,hi0,status"
         assert not (out / "partition.svg").exists()
 
+    @pytest.mark.parametrize("widths, message", [
+        ("0.2,0.2,0.2", "expected 2 grid widths (or one), got 3"),
+        ("nan", "widths must be positive finite numbers, got 'nan'"),
+        ("inf", "widths must be positive finite numbers, got 'inf'"),
+    ])
+    def test_unusable_widths_exit_two(self, model_file, tmp_path, capsys, caplog,
+                                      widths, message):
+        assert main(["abstract", "--model", model_file, "--widths", widths,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert [r.getMessage() for r in caplog.records] == [message]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_model_exits_one(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text(THREE_STATE_DOC.replace("- [0.4, 0.7, 0.7]", "- [0.3, 0.7, 0.7]"))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,10 +50,67 @@ class TestBuildGrid:
         assert hi0[-1] == 1.0
 
     def test_bad_widths_rejected(self, mdp3):
-        with pytest.raises(ValueError):
-            bo.build_grid(-0.1, mdp3)
+        for width in (-0.1, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                bo.build_grid(width, mdp3)
         with pytest.raises(ValueError):
             bo.build_grid([0.2], mdp3)  # needs one width per dimension
+
+
+def reference_status(box, m):
+    """The per-cell classification rule, written out: excluded when the lower
+    corner sums to >= 1, bad when the upper corner's secret mass exceeds the
+    threshold."""
+    if float(box.lo.sum()) >= 1.0:
+        return bo.EXCLUDED
+    if float(box.hi[sorted(m.secret)].sum()) > m.threshold:
+        return bo.BAD
+    return bo.SAFE
+
+
+class TestArrayPartition:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_status_matches_classify_cell(self, n):
+        rng = np.random.default_rng(100 + n)
+        corner_sums_one = truncated = 0
+        for widths in (0.25, 0.3, [0.5, 0.3, 0.25, 0.2][: n - 1]):
+            m = random_mdp(rng, n, threshold=float(rng.uniform(0.2, 0.9)))
+            p = bo.build_grid(widths, m)
+            cells = p.cells
+            assert [c.id for c in cells] == list(p.ids) == list(range(len(cells)))
+            assert list(p.status) == [c.status for c in cells]
+            assert list(p.status) == [bo.classify_cell(c.box, m) for c in cells]
+            assert list(p.status) == [reference_status(c.box, m) for c in cells]
+            corner_sums_one += sum(float(c.box.lo.sum()) == 1.0 for c in cells)
+            truncated += sum(bool(np.any(c.box.hi - c.box.lo < 0.2)) for c in cells)
+        assert truncated > 0
+        if n > 2:
+            assert corner_sums_one > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lazy_cells_match_the_arrays_after_refining(self, n):
+        rng = np.random.default_rng(200 + n)
+        refined = 0
+        for _ in range(6):
+            m = random_mdp(rng, n)
+            m = replace(m, threshold=min(1.0, m.secret_mass(m.pi0) + 0.01))
+            p = bo.build_grid(0.3, m)
+            x0 = bo.reduce_belief(m.pi0)
+            if p.cell(bo.locate_cell(x0, p)).status == bo.BAD:
+                p = bo.refine_initial(p, x0, m)
+                refined += 1
+            assert list(p.ids) == sorted(p.ids)
+            assert len(p.cells) == len(p.ids) == len(p.status) == len(p.lo) == len(p.hi)
+            for row, c in enumerate(p.cells):
+                assert (c.id, c.status) == (p.ids[row], p.status[row])
+                assert c.box.lo.tobytes() == p.lo[row].tobytes()
+                assert c.box.hi.tobytes() == p.hi[row].tobytes()
+                assert p.cell(c.id) == c
+                assert c.status == reference_status(c.box, m)
+            assert p.counts() == {s: [c.status for c in p.cells].count(s)
+                                  for s in (bo.SAFE, bo.BAD, bo.EXCLUDED)}
+            assert p.safe_cells() == tuple(c for c in p.cells if c.status == bo.SAFE)
+        assert refined > 0
 
 
 class TestClassifyCell:
