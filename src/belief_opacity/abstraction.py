@@ -234,11 +234,13 @@ def prune(nfa: Nfa, initial: int, bad_state=BAD_STATE) -> tuple[Nfa, tuple[Prune
             if not left[p_]:
                 queue.append(p_)
 
-    pruned = Nfa(
+    # every surviving action's targets are surviving states, so the parts
+    # need no re-validation
+    pruned = Nfa._trusted(
         states=frozenset(q for q in live if left[q]),
         alphabet=nfa.alphabet,
         delta={
-            (q, a): frozenset(nfa.delta[(q, a)])
+            (q, a): nfa.delta[(q, a)]
             for q in live
             for a in enabled[q] if (q, a) not in disabled
         },

@@ -164,6 +164,18 @@ class Nfa:
         if not self.initial <= self.states:
             raise ValueError("initial states must be a subset of the state set")
 
+    @classmethod
+    def _trusted(cls, states: frozenset, alphabet: tuple, delta: dict, initial: frozenset):
+        """Build without the checks of ``__post_init__``, for callers whose
+        parts are already of the final types and consistent: frozensets of
+        known states as non-empty transition targets, a tuple alphabet."""
+        nfa = object.__new__(cls)
+        for name, value in (
+            ("states", states), ("alphabet", alphabet), ("delta", delta), ("initial", initial)
+        ):
+            object.__setattr__(nfa, name, value)
+        return nfa
+
     def successors(self, q, a: str) -> frozenset:
         return self.delta.get((q, a), frozenset())
 

@@ -1,8 +1,14 @@
 """Controller synthesis against the pruned belief abstraction.
 
-Two enforcement routes are provided.  Direct synthesis intersects the MDP's
-support automaton with the pruned abstraction and keeps, per state, only the
-actions enabled at every reachable product state; a stand-in value-iteration
+Two enforcement routes are provided.  Direct synthesis keeps, per MDP state,
+only the actions enabled at every abstract belief state the MDP state can
+occur with, that is at every reachable state of the synchronous product of
+the MDP's support automaton with the pruned abstraction.  The product is
+never built: the abstract state does not depend on the real one, so the
+reachable pairs are exactly the (s, q) with s in R[q], where R is the least
+fixpoint of R[q'] >= post_a(R[q]) over the pruned edges (q, a, q'), seeded
+with the support of pi0 at the initial abstract states (the subset
+construction, run on the abstraction's side).  A stand-in value-iteration
 then maximizes the probability of reaching a target set inside the
 restricted model.  Edit-function synthesis instead rewrites the observable
 action stream at runtime: an edit automaton derived from the pruned
@@ -19,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .abstraction import _EDGE_STYLES
 from .dynamics import belief_update, reduce_belief
 from .model import Mdp, Nfa, _state_key, mdp_to_nfa
 from .partition import Partition, locate_cell
@@ -91,8 +98,8 @@ class RestrictedMdp:
     """An MDP with per-state action sets narrowed for privacy.
 
     States absent from ``allowed`` have been pruned away entirely;
-    ``vacuous`` lists states that never appeared in the product and so kept
-    the full action set by default.
+    ``vacuous`` lists states that occur with no reachable abstract state
+    (they are in no R[q]) and so kept the full action set by default.
     """
 
     base: Mdp
@@ -100,49 +107,85 @@ class RestrictedMdp:
     vacuous: frozenset[str]
 
 
-def restrict_actions(m: Mdp, pruned_t: Nfa, all_pairs: bool = False) -> RestrictedMdp:
+def _supports(m: Mdp) -> dict[str, list[int]]:
+    """Per action, the support of every column as a bitmask over state
+    indices: bit i of ``sup[a][j]`` is set when ``a`` moves state j to
+    state i with positive probability."""
+    sup = {}
+    for a in m.actions:
+        cols = [0] * m.n
+        rows, srcs = np.nonzero(m.trans[a] > 0.0)
+        for i, j in zip(rows.tolist(), srcs.tolist()):
+            cols[j] |= 1 << i
+        sup[a] = cols
+    return sup
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def restrict_actions(m: Mdp, pruned_t: Nfa) -> RestrictedMdp:
     """Per-state safe action sets from the pruned abstraction.
 
-    For every product state (s, q) of the support automaton with the pruned
-    abstraction, an action counts as enabled when both components can move;
-    the safe set of s is the intersection over all such pairs.  By default
-    only pairs reachable from the initial product states constrain the
-    result; ``all_pairs`` switches to the literal intersection over every
-    pair.  States that appear in no pair keep the full action set and are
-    flagged vacuous.
+    The safe set of s is the intersection, over every reachable state
+    (s, q) of the product of the support automaton with the pruned
+    abstraction, of the actions both components can move on.  The product
+    is not built: R[q], the MDP states that occur with abstract state q, is
+    the least fixpoint of R[q'] >= post_a(R[q]) over the pruned edges
+    (q, a, q'), seeded with supp(pi0) at every initial state, computed by a
+    worklist over bitmasks of MDP states.  Then the safe set of s is
+    enabled(s) & enabled(q) over every q with s in R[q].  States in no R[q]
+    keep the full action set and are flagged vacuous.
     """
-    t_m = mdp_to_nfa(m)
-    if all_pairs:
-        pairs = [(s, q) for s in m.states for q in sorted(pruned_t.states, key=_state_key)]
+    if set(m.actions) != set(pruned_t.alphabet):
+        raise ValueError("the abstraction's alphabet must equal the model's actions")
+    sup = _supports(m)
+    bit = {a: 1 << k for k, a in enumerate(m.actions)}
+    # the pruned automaton's edges and enabled actions (as bitmasks) per state
+    edges: dict = {}
+    enabled_t: dict = {}
+    for (q, a), targets in pruned_t.delta.items():
+        edges.setdefault(q, []).append((a, targets))
+        enabled_t[q] = enabled_t.get(q, 0) | bit[a]
 
-        def enabled(s, q):
-            return tuple(
-                a for a in m.actions if t_m.successors(s, a) and pruned_t.successors(q, a)
-            )
+    # reach[q]: the bitmask R[q]; a state is pushed each time R[q] grows
+    init = sum(1 << i for i in np.flatnonzero(m.pi0 > 0.0).tolist())
+    reach = dict.fromkeys(pruned_t.initial, init) if init else {}
+    work = list(reach)
+    while work:
+        q = work.pop()
+        mask = reach[q]
+        for a, targets in edges.get(q, ()):
+            nxt = 0  # post_a(R[q])
+            for j in _bits(mask):
+                nxt |= sup[a][j]
+            for q2 in targets:
+                old = reach.get(q2, 0)
+                if old | nxt != old:
+                    reach[q2] = old | nxt
+                    work.append(q2)
 
-        enabled_sets = {(s, q): enabled(s, q) for s, q in pairs}
-    else:
-        prod = product(t_m, pruned_t)
-        pairs = sorted(prod.states, key=_state_key)
-        enabled_sets = {pair: prod.enabled(pair) for pair in pairs}
+    # inter[j]: the actions enabled at every q with state j in R[q]
+    inter = [None] * m.n
+    for q, mask in reach.items():
+        acts = enabled_t.get(q, 0)
+        for j in _bits(mask):
+            inter[j] = acts if inter[j] is None else inter[j] & acts
 
     allowed: dict[str, tuple[str, ...]] = {}
     vacuous = set()
-    for s in m.states:
-        sets = [set(enabled_sets[pair]) for pair in pairs if pair[0] == s]
-        if not sets:
+    for j, s in enumerate(m.states):
+        if inter[j] is None:
             allowed[s] = m.actions
             vacuous.add(s)
             continue
-        inter = set.intersection(*sets)
-        allowed[s] = tuple(a for a in m.actions if a in inter)
+        allowed[s] = tuple(a for a in m.actions if inter[j] & bit[a] and sup[a][j])
     return RestrictedMdp(base=m, allowed=allowed, vacuous=frozenset(vacuous))
-
-
-def _support(m: Mdp, state: str, action: str) -> frozenset[str]:
-    j = m.states.index(state)
-    h = m.matrix(action)
-    return frozenset(m.states[i] for i in np.nonzero(h[:, j] > 0.0)[0])
 
 
 def prune_blocking(r: RestrictedMdp) -> RestrictedMdp:
@@ -156,24 +199,30 @@ def prune_blocking(r: RestrictedMdp) -> RestrictedMdp:
     m = r.base
     allowed = {s: set(acts) for s, acts in r.allowed.items()}
     removed: set[str] = set()
-    while True:
-        blocking = [s for s in m.states if s in allowed and not allowed[s]]
-        if not blocking:
-            break
-        for s in blocking:
+    blocking = [j for j, s in enumerate(m.states) if s in allowed and not allowed[s]]
+    if blocking:
+        # preds[i]: the (state, action) pairs that reach state i with
+        # positive probability
+        preds: list[list] = [[] for _ in m.states]
+        for a, cols in _supports(m).items():
+            for j, mask in enumerate(cols):
+                for i in _bits(mask):
+                    preds[i].append((m.states[j], a))
+    while blocking:
+        for j in blocking:
+            s = m.states[j]
             del allowed[s]
             removed.add(s)
-            if m.pi0[m.states.index(s)] > 0.0:
+            if m.pi0[j] > 0.0:
                 raise InitialStatePrunedError(
                     f"initial state {s} has no privacy-safe actions; "
                     "the current partition may be too coarse, retry with smaller grid widths"
                 )
-        for s in m.states:
-            if s not in allowed:
-                continue
-            for a in sorted(allowed[s], key=m.actions.index):
-                if _support(m, s, a) & removed:
-                    allowed[s].discard(a)
+        for j in blocking:
+            for src, a in preds[j]:
+                if src in allowed:
+                    allowed[src].discard(a)
+        blocking = [j for j, s in enumerate(m.states) if s in allowed and not allowed[s]]
     final = {
         s: tuple(a for a in m.actions if a in allowed[s]) for s in m.states if s in allowed
     }
@@ -213,35 +262,38 @@ def synthesize_reach_policy(
         )
     live_idx = [m.states.index(s) for s in live]
     fixed = [m.states.index(s) for s in live if s in target]
+    # blocked[k, j]: action k is not allowed at state j
+    blocked = np.ones((len(m.actions), m.n), dtype=bool)
+    for s, j in zip(live, live_idx):
+        for a in r.allowed[s]:
+            blocked[m.action_index(a), j] = False
+    dead = blocked.all(axis=0)
+    trans_t = [m.trans[a].T for a in m.actions]
+    q = np.empty((len(m.actions), m.n))
+
+    def backup(v):
+        # q[k, j]: value of taking action k at state j, -inf where blocked
+        for k, h in enumerate(trans_t):
+            q[k] = h @ v
+        q[blocked] = -np.inf
+        return q
 
     v = np.zeros(m.n)
     v[fixed] = 1.0
-    q_by_action = {}
     for _ in range(max_iter):
-        for a in m.actions:
-            q_by_action[a] = m.trans[a].T @ v
-        new_v = np.zeros(m.n)
-        for s, j in zip(live, live_idx):
-            acts = r.allowed[s]
-            if acts:
-                new_v[j] = max(q_by_action[a][j] for a in acts)
+        new_v = backup(v).max(axis=0)
+        new_v[dead] = 0.0
         new_v[fixed] = 1.0
         if np.max(np.abs(new_v - v)) < eps:
             v = new_v
             break
         v = new_v
 
-    for a in m.actions:
-        q_by_action[a] = m.trans[a].T @ v
+    best = backup(v).argmax(axis=0)
     choice: dict[str, str] = {}
     value: dict[str, float] = {}
     for s, j in zip(live, live_idx):
-        best_a, best_q = None, -1.0
-        for a in r.allowed[s]:
-            q = q_by_action[a][j]
-            if q > best_q:
-                best_a, best_q = a, q
-        choice[s] = best_a
+        choice[s] = m.actions[best[j]]
         value[s] = float(v[j])
     return Policy(choice=choice, value=value)
 
@@ -449,9 +501,6 @@ def verify_edit_requirements(
                         ),
                     )
     return EditVerifyReport(ok=True, sequences_checked=checked, counterexample=None)
-
-
-_EDGE_STYLES = ("solid", "dashed", "dotted", "bold")
 
 
 def edit_to_dot(ea: EditAutomaton, name: str = "Tf") -> str:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belief_opacity as bo
 from conftest import (
@@ -61,8 +65,15 @@ class TestRestrictActions:
         assert not r.vacuous
 
     def test_all_pairs_reading_agrees_here(self, mdp3, abstraction3):
-        r = bo.restrict_actions(mdp3, abstraction3.pruned, all_pairs=True)
-        assert r.allowed == {"s1": ("a1",), "s2": ("a1",), "s3": ("a1",)}
+        # the literal intersection over every (s, q) pair, reachable or not
+        t_m, t = bo.mdp_to_nfa(mdp3), abstraction3.pruned
+        allowed = {
+            s: tuple(a for a in mdp3.actions
+                     if all(t_m.successors(s, a) and t.successors(q, a) for q in t.states))
+            for s in mdp3.states
+        }
+        assert allowed == {"s1": ("a1",), "s2": ("a1",), "s3": ("a1",)}
+        assert bo.restrict_actions(mdp3, abstraction3.pruned).allowed == allowed
 
     def test_permissive_abstraction_keeps_everything(self, mdp3, partition3):
         cells = [c.id for c in partition3.safe_cells()]
@@ -107,6 +118,175 @@ class TestRestrictActions:
                 r = bo.restrict_actions(mdp3, smaller)
                 for s in mdp3.states:
                     assert set(r.allowed[s]) <= set(base.allowed[s])
+
+
+def product_restriction(m, t):
+    """Reference for restrict_actions: the intersection of the enabled
+    actions over every state of the explicit product."""
+    prod = bo.product(bo.mdp_to_nfa(m), t)
+    allowed, vacuous = {}, set()
+    for s in m.states:
+        sets = [set(prod.enabled(pair)) for pair in prod.states if pair[0] == s]
+        if not sets:
+            allowed[s] = m.actions
+            vacuous.add(s)
+        else:
+            inter = set.intersection(*sets)
+            allowed[s] = tuple(a for a in m.actions if a in inter)
+    return allowed, vacuous
+
+
+def loop_prune_blocking(r):
+    """Reference for prune_blocking: whole rounds, every support tested
+    against every state removed so far."""
+    m = r.base
+    allowed = {s: set(acts) for s, acts in r.allowed.items()}
+    removed = set()
+    while True:
+        blocking = [s for s in m.states if s in allowed and not allowed[s]]
+        if not blocking:
+            break
+        for s in blocking:
+            del allowed[s]
+            removed.add(s)
+            if m.pi0[m.states.index(s)] > 0.0:
+                return s
+        for s in m.states:
+            if s in allowed:
+                j = m.states.index(s)
+                for a in list(allowed[s]):
+                    if {m.states[i] for i in np.nonzero(m.trans[a][:, j] > 0.0)[0]} & removed:
+                        allowed[s].discard(a)
+    return {s: tuple(a for a in m.actions if a in allowed[s]) for s in m.states if s in allowed}
+
+
+def loop_reach_policy(r, target, eps=1e-9):
+    """Reference for synthesize_reach_policy: one state at a time, the
+    first strictly better allowed action wins."""
+    m = r.base
+    live = [s for s in m.states if s in r.allowed]
+    idx = {s: m.states.index(s) for s in live}
+    fixed = [idx[s] for s in live if s in target]
+    v = np.zeros(m.n)
+    v[fixed] = 1.0
+    while True:
+        q = {a: m.trans[a].T @ v for a in m.actions}
+        new_v = np.zeros(m.n)
+        for s in live:
+            new_v[idx[s]] = max(q[a][idx[s]] for a in r.allowed[s])
+        new_v[fixed] = 1.0
+        done = np.max(np.abs(new_v - v)) < eps
+        v = new_v
+        if done:
+            break
+    q = {a: m.trans[a].T @ v for a in m.actions}
+    choice = {}
+    for s in live:
+        best_a, best_q = None, -1.0
+        for a in r.allowed[s]:
+            if q[a][idx[s]] > best_q:
+                best_a, best_q = a, q[a][idx[s]]
+        choice[s] = best_a
+    return choice, {s: float(v[idx[s]]) for s in live}
+
+
+@st.composite
+def restriction_cases(draw):
+    """A 2-5-state model with sparse (possibly empty) column supports and a
+    pi0 with zeros, where the last state may be entered by no transition
+    and carry no initial mass, so that it is never reached; and a random
+    automaton over the same actions with 1-3 initial states, unreachable
+    states and disabled actions."""
+    n = draw(st.integers(2, 5))
+    actions = tuple(f"a{k + 1}" for k in range(draw(st.integers(1, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unreached = draw(st.booleans())
+
+    def sparse(keep):
+        # random weights on a drawn support, summing to one unless empty
+        v = np.array([rng.uniform(0.1, 1.0) if draw(st.booleans()) else 0.0 for _ in range(n)])
+        if unreached:
+            v[-1] = 0.0
+        if not v.any() and keep:
+            v[int(rng.integers(n - 1 if unreached else n))] = 1.0
+        return v / v.sum() if v.any() else v
+
+    trans = {a: np.column_stack([sparse(draw(st.integers(0, 4)) > 0) for _ in range(n)])
+             for a in actions}
+    m = bo.Mdp(states=tuple(f"s{i + 1}" for i in range(n)), pi0=sparse(True),
+               actions=actions, trans=trans, secret=frozenset({0}), threshold=1.0)
+    nq = draw(st.integers(1, 6))
+    qs = st.integers(0, nq - 1)
+    delta = {(q, a): draw(st.sets(qs, max_size=3)) for q in range(nq) for a in actions}
+    t = bo.Nfa(states=frozenset(range(nq)), alphabet=actions, delta=delta,
+               initial=frozenset(draw(st.sets(qs, min_size=1, max_size=3))))
+    return m, t
+
+
+class TestRestrictMatchesProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(restriction_cases())
+    def test_same_as_the_explicit_product(self, case):
+        m, t = case
+        r = bo.restrict_actions(m, t)
+        assert (r.allowed, set(r.vacuous)) == product_restriction(m, t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(restriction_cases(), st.data())
+    def test_blocking_and_policy_match_the_loops(self, case, data):
+        m, t = case
+        r = bo.restrict_actions(m, t)
+        expected = loop_prune_blocking(r)
+        if isinstance(expected, str):
+            with pytest.raises(bo.InitialStatePrunedError, match=f"initial state {expected} "):
+                bo.prune_blocking(r)
+            return
+        r = bo.prune_blocking(r)
+        assert r.allowed == expected
+        target = set(data.draw(st.sets(st.sampled_from(m.states))))
+        policy = bo.synthesize_reach_policy(r, target)
+        assert (policy.choice, policy.value) == loop_reach_policy(r, target)
+
+    def test_alphabet_mismatch(self, mdp3):
+        t = bo.Nfa(states=frozenset({0}), alphabet=("a1",), delta={}, initial=frozenset({0}))
+        with pytest.raises(ValueError, match="alphabet"):
+            bo.restrict_actions(mdp3, t)
+
+
+class TestDirectRouteReplay:
+    def test_observer_cell_stays_in_the_pruned_automaton(self):
+        # the first 40 models of random_mdp(default_rng(77), 3), with
+        # thresholds just above the initial secret mass, at width 0.1; ten
+        # 100-step runs of the real chain per model that synthesizes
+        rng = np.random.default_rng(77)
+        chain = np.random.default_rng(0)
+        models = narrowed = 0
+        for _ in range(40):
+            m = random_mdp(rng, 3)
+            m = replace(m, threshold=min(1.0, m.secret_mass(m.pi0) + float(rng.uniform(0.05, 0.4))))
+            p = bo.build_grid(0.1, m)
+            x0 = bo.reduce_belief(m.pi0)
+            try:
+                if p.cell(bo.locate_cell(x0, p)).status == bo.BAD:
+                    p = bo.refine_initial(p, x0, m)
+                res = bo.abstract(m, p)
+                r = bo.prune_blocking(bo.restrict_actions(m, res.pruned))
+            except (bo.InitialCellPrunedError, bo.RefinementFailedError,
+                    bo.InitialStatePrunedError):
+                continue
+            models += 1
+            narrowed += any(len(acts) < len(m.actions) for acts in r.allowed.values())
+            for _ in range(10):
+                state = int(chain.choice(m.n, p=m.pi0))
+                belief = m.pi0.copy()
+                for step in range(100):
+                    acts = r.allowed[m.states[state]]
+                    a = acts[int(chain.integers(len(acts)))]
+                    state = int(chain.choice(m.n, p=m.trans[a][:, state]))
+                    belief = bo.belief_update(belief, a, m)
+                    cell = bo.locate_cell(bo.reduce_belief(belief), p)
+                    assert cell in res.pruned.states, (models, step, a, cell)
+        assert (models, narrowed) == (22, 9)
 
 
 class TestPruneBlocking:
