@@ -173,8 +173,14 @@ def build_abstraction(
             if targets:
                 delta[(p.ids[row], a)] = frozenset(targets)
 
-    states = frozenset(p.ids[r] for r in safe) | {BAD_STATE}
-    return Nfa(states=states, alphabet=m.actions, delta=delta, initial=frozenset({initial_cell}))
+    # every target is a safe cell id or ``bad`` and the initial cell is safe,
+    # so the parts need no re-validation
+    return Nfa._trusted(
+        states=frozenset([*(p.ids[r] for r in safe), BAD_STATE]),
+        alphabet=m.actions,
+        delta=delta,
+        initial=frozenset({initial_cell}),
+    )
 
 
 def prune(nfa: Nfa, initial: int, bad_state=BAD_STATE) -> tuple[Nfa, tuple[PruneEvent, ...]]:

@@ -4,11 +4,12 @@ All data artifacts go to files under ``--out`` with fixed names; stdout and
 stderr carry logs only (except ``validate``, whose report is the output).
 Identical arguments and seed produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 model validation failure, 2 I/O or syntax error,
-3 the initial abstraction state was pruned (or could not be refined),
-4 restriction left an initial MDP state without actions, 5 the simulated
-trace violated the opacity threshold, 6 the edit engine had no output for
-the edited stream (its belief left the edit automaton).
+Exit codes: 0 success, 1 model validation failure, 2 I/O or syntax error
+(including a one-state model where a belief abstraction is needed, and a
+negative ``--steps``), 3 the initial abstraction state was pruned (or could
+not be refined), 4 restriction left an initial MDP state without actions,
+5 the simulated trace violated the opacity threshold, 6 the edit engine had
+no output for the edited stream (its belief left the edit automaton).
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def _load_validated(args):
 
 
 def _prepare_partition(args, m):
+    if m.n < 2:
+        raise ModelFormatError("belief abstraction needs at least two states")
     widths = _parse_widths(args.widths, m.n - 1)
     p = build_grid(widths[0] if len(widths) == 1 else widths, m)
     x0 = reduce_belief(m.pi0)
@@ -173,6 +176,8 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     m = _load_validated(args)
+    if args.steps < 0:
+        raise ModelFormatError(f"--steps must be non-negative, got {args.steps}")
     out = _outdir(args)
     if args.actions == "random":
         source = random_actions(m, seed=args.seed)

@@ -50,6 +50,18 @@ def _record(m: Mdp, p: Partition | None, step: int, real, output, belief) -> Tra
     )
 
 
+def _action_source(actions, steps: int):
+    """``actions`` as a callable ``(step_index, belief) -> action``: a
+    callable is returned as is, a sequence must name at least ``steps``
+    actions."""
+    if callable(actions):
+        return actions
+    actions = list(actions)
+    if len(actions) < steps:
+        raise ValueError(f"need {steps} actions, got {len(actions)}")
+    return lambda t, _b: actions[t]
+
+
 def simulate(m: Mdp, actions, steps: int, p: Partition | None = None) -> list[TraceRecord]:
     """Exact belief trajectory for ``steps`` observed actions.
 
@@ -57,14 +69,7 @@ def simulate(m: Mdp, actions, steps: int, p: Partition | None = None) -> list[Tr
     callable ``(step_index, belief) -> action``.  The first record is the
     initial belief; cells are annotated when a partition is given.
     """
-    if callable(actions):
-        source = actions
-    else:
-        actions = list(actions)
-        if len(actions) < steps:
-            raise ValueError(f"need {steps} actions, got {len(actions)}")
-        source = lambda t, _b: actions[t]
-
+    source = _action_source(actions, steps)
     belief = np.array(m.pi0, dtype=float)
     trace = [_record(m, p, 0, None, None, belief)]
     for t in range(steps):
@@ -89,14 +94,7 @@ def simulate_edited(
     each is rewritten by a fresh :class:`EditEngine` and the recorded belief
     is the one induced by the output actions.
     """
-    if callable(actions):
-        source = actions
-    else:
-        actions = list(actions)
-        if len(actions) < steps:
-            raise ValueError(f"need {steps} actions, got {len(actions)}")
-        source = lambda t, _b: actions[t]
-
+    source = _action_source(actions, steps)
     engine = EditEngine(m, p, ea, strategy=strategy, seed=seed)
     trace = [_record(m, p, 0, None, None, engine.observer_belief)]
     for t in range(steps):

@@ -11,10 +11,11 @@ with the support of pi0 at the initial abstract states (the subset
 construction, run on the abstraction's side).  A stand-in value-iteration
 then maximizes the probability of reaching a target set inside the
 restricted model.  Edit-function synthesis instead rewrites the observable
-action stream at runtime: an edit automaton derived from the pruned
-abstraction maps every actually executed action to some output action
-enabled at the current abstract belief state, and the observer belief is
-advanced with the output action, never the real one.
+action stream at runtime: whatever action actually happened, the edit
+function reports some action enabled at the current abstract belief state,
+and the observer belief is advanced with the output action, never the real
+one.  The real action constrains nothing, so the edit automaton is a view of
+the pruned abstraction rather than a copy of its edges per real action.
 """
 
 from __future__ import annotations
@@ -300,55 +301,53 @@ def synthesize_reach_policy(
 
 @dataclass(frozen=True)
 class EditAutomaton:
-    """Transition table of the observation rewriter.
+    """The observation rewriter, as a view of the pruned abstraction.
 
-    An edge (q, actual, output, q') says: in abstract belief state q, when
-    ``actual`` really happens, the rewriter may report ``output`` and move
-    to q'.  Every edge reports exactly one action.
+    In abstract belief state q, whatever ``actual`` action really happens,
+    the rewriter may report any action ``output`` enabled at q and move to
+    any q' in delta(q, output).  Since ``actual`` constrains nothing, the
+    rewrites (q, actual, output, q') are never stored: ``pruned`` is shared,
+    not copied, and ``edges`` derives them only when asked for.
     """
 
-    states: frozenset
-    alphabet: tuple[str, ...]
-    initial: int
-    edges: frozenset
+    pruned: Nfa
+    initial: object
+
+    @property
+    def states(self) -> frozenset:
+        return self.pruned.states
+
+    @property
+    def alphabet(self) -> tuple[str, ...]:
+        return self.pruned.alphabet
+
+    @property
+    def edges(self) -> frozenset:
+        """Every rewrite (q, actual, output, q'), |alphabet| per pruned edge."""
+        return frozenset((q, actual, o, q2) for (q, o), targets in self.pruned.delta.items()
+                         for q2 in targets for actual in self.alphabet)
 
     @cached_property
-    def _outputs(self) -> dict:
-        table: dict = {}
-        order = {a: i for i, a in enumerate(self.alphabet)}
-        for q, actual, output, _ in self.edges:
-            table.setdefault((q, actual), set()).add(output)
-        return {
-            key: tuple(sorted(vals, key=order.__getitem__)) for key, vals in table.items()
-        }
+    def _enabled(self) -> dict:
+        return {q: self.pruned.enabled(q) for q in self.pruned.states}
 
     def outputs(self, q, actual: str) -> tuple[str, ...]:
         """Outputs available at q for the given real action, in action order."""
-        return self._outputs.get((q, actual), ())
+        if actual not in self.pruned.alphabet:
+            return ()
+        return self._enabled.get(q, ())
 
 
 def build_edit_automaton(pruned_t: Nfa) -> EditAutomaton:
     """Edit automaton over the pruned abstraction.
 
     Whatever really happened, any action enabled at the current abstract
-    state may be reported; the real action is unconstrained, so the edges
-    pair every real action with every enabled output.
+    state may be reported, so the automaton is the pruned abstraction
+    itself with the smallest initial state; nothing is built per edge.
     """
     if not pruned_t.states:
         raise ValueError("pruned abstraction is empty")
-    initial = min(pruned_t.initial, key=_state_key)
-    edges = set()
-    for q in pruned_t.sorted_states():
-        for o in pruned_t.enabled(q):
-            for q2 in pruned_t.successors(q, o):
-                for actual in pruned_t.alphabet:
-                    edges.add((q, actual, o, q2))
-    return EditAutomaton(
-        states=pruned_t.states,
-        alphabet=pruned_t.alphabet,
-        initial=initial,
-        edges=frozenset(edges),
-    )
+    return EditAutomaton(pruned=pruned_t, initial=min(pruned_t.initial, key=_state_key))
 
 
 class EditEngine:
@@ -384,11 +383,10 @@ class EditEngine:
 
     def step(self, actual: str) -> str:
         """Rewrite one real action and advance the observer belief."""
-        outputs = self.automaton.outputs(self.current_cell, actual)
+        q = self.current_cell
+        outputs = self.automaton.outputs(q, actual)
         if not outputs:
-            raise EditUndefinedError(
-                f"no output defined at cell {self.current_cell} for action {actual!r}"
-            )
+            raise EditUndefinedError(f"no output defined at cell {q} for action {actual!r}")
         if self.strategy == "lex-first":
             out = outputs[0]
         elif self.strategy == "match-if-safe":
@@ -397,9 +395,11 @@ class EditEngine:
             out = outputs[int(self.rng.integers(len(outputs)))]
         self.observer_belief = belief_update(self.observer_belief, out, self.mdp)
         cell = locate_cell(self.observer_belief[:-1], self.partition)
-        if cell not in self.automaton.states:
+        # every output is enabled at q, so delta has the key
+        if cell not in self.automaton.pruned.delta[(q, out)]:
             raise EditUndefinedError(
-                f"observer belief moved to cell {cell}, which the edit automaton does not cover"
+                f"observer belief moved to cell {cell}, which the edit automaton does not "
+                f"cover from cell {q} on {out!r}"
             )
         self.current_cell = cell
         return out
@@ -452,15 +452,13 @@ def verify_edit_requirements(
     support = support if support is not None else mdp_to_nfa(m)
     checked = 0
 
+    def failed(*counterexample) -> EditVerifyReport:
+        return EditVerifyReport(False, checked, EditCounterexample(*counterexample))
+
     mass0 = m.secret_mass(m.pi0)
     if mass0 > m.threshold:
-        return EditVerifyReport(
-            ok=False,
-            sequences_checked=0,
-            counterexample=EditCounterexample(
-                3, strategies[0], (), 0, f"initial secret mass {mass0!r} exceeds the threshold"
-            ),
-        )
+        return failed(3, strategies[0], (), 0,
+                      f"initial secret mass {mass0!r} exceeds the threshold")
 
     for strategy in strategies:
         for seq_idx, seq in enumerate(itertools.product(m.actions, repeat=depth)):
@@ -471,35 +469,15 @@ def verify_edit_requirements(
                 try:
                     out = engine.step(actual)
                 except EditUndefinedError as exc:
-                    return EditVerifyReport(
-                        ok=False,
-                        sequences_checked=checked,
-                        counterexample=EditCounterexample(1, strategy, seq, step, str(exc)),
-                    )
-                current = (
-                    set().union(*(support.successors(q, out) for q in current))
-                    if current
-                    else set()
-                )
+                    return failed(1, strategy, seq, step, str(exc))
+                current = set().union(*(support.successors(q, out) for q in current))
                 if not current:
-                    return EditVerifyReport(
-                        ok=False,
-                        sequences_checked=checked,
-                        counterexample=EditCounterexample(
-                            2, strategy, seq, step,
-                            f"output word leaves the support language on {out!r}",
-                        ),
-                    )
+                    return failed(2, strategy, seq, step,
+                                  f"output word leaves the support language on {out!r}")
                 mass = m.secret_mass(engine.observer_belief)
                 if mass > m.threshold:
-                    return EditVerifyReport(
-                        ok=False,
-                        sequences_checked=checked,
-                        counterexample=EditCounterexample(
-                            3, strategy, seq, step,
-                            f"observer secret mass {mass!r} exceeds the threshold",
-                        ),
-                    )
+                    return failed(3, strategy, seq, step,
+                                  f"observer secret mass {mass!r} exceeds the threshold")
     return EditVerifyReport(ok=True, sequences_checked=checked, counterexample=None)
 
 
@@ -508,18 +486,20 @@ def edit_to_dot(ea: EditAutomaton, name: str = "Tf") -> str:
     follows the output action."""
     order = {a: i for i, a in enumerate(ea.alphabet)}
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    for q in sorted(ea.states, key=_state_key):
+    for q in ea.pruned.sorted_states():
         lines.append(f'  "{q}" [shape=circle];')
     lines.append("  __init [shape=point];")
     lines.append(f'  __init -> "{ea.initial}";')
-    edges = sorted(
-        ea.edges, key=lambda e: (_state_key(e[0]), order[e[1]], order[e[2]], _state_key(e[3]))
-    )
-    for q, actual, output, q2 in edges:
-        style = _EDGE_STYLES[order[output] % len(_EDGE_STYLES)]
-        lines.append(
-            f'  "{q}" -> "{q2}" [label="{actual}/{output}", style={style}];'
-        )
+    # the rewrites in (q, actual, output, q') order: per source, its edges
+    # once for every real action
+    for q, out_edges in itertools.groupby(ea.pruned.sorted_edges(), key=lambda e: e[0]):
+        out_edges = list(out_edges)
+        for actual in ea.alphabet:
+            for _, output, q2 in out_edges:
+                style = _EDGE_STYLES[order[output] % len(_EDGE_STYLES)]
+                lines.append(
+                    f'  "{q}" -> "{q2}" [label="{actual}/{output}", style={style}];'
+                )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

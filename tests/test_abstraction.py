@@ -329,11 +329,12 @@ class TestPrune:
             engine.step(m.actions[i])
 
     def test_result_passes_the_public_checks(self, abstraction3):
-        # prune builds its result without re-validation; the checked
-        # constructor accepts the same parts and changes none of them
+        # build_abstraction and prune build their results without
+        # re-validation; the checked constructor accepts the same parts and
+        # changes none of them
         m = random_mdp(np.random.default_rng(911), 4, 2)
-        deleting = bo.abstract(m, bo.build_grid(0.1, m)).pruned
-        for t in (abstraction3.pruned, deleting):
+        deleting = bo.abstract(m, bo.build_grid(0.1, m))
+        for t in (abstraction3.nfa, abstraction3.pruned, deleting.nfa, deleting.pruned):
             assert bo.Nfa(states=t.states, alphabet=t.alphabet, delta=t.delta,
                           initial=t.initial) == t
             assert all(type(v) is frozenset and v for v in t.delta.values())

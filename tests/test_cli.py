@@ -173,6 +173,40 @@ class TestSimulate:
                      "--actions", "zz", "--out", str(tmp_path / "out")]) == 2
 
 
+ONE_STATE_DOC = """\
+states: [s1]
+actions: [a]
+pi0: [1.0]
+trans:
+  a:
+    - [1.0]
+secret: []
+lambda: 0.5
+"""
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["abstract"],
+        ["synthesize", "--mode", "edit"],
+        ["simulate", "--edited"],
+    ])
+    def test_one_state_model_exits_two(self, tmp_path, capsys, caplog, argv):
+        path = tmp_path / "one.yaml"
+        path.write_text(ONE_STATE_DOC)
+        assert main([*argv, "--model", str(path), "--widths", "0.2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "belief abstraction needs at least two states"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_steps_exit_two(self, model_file, tmp_path, caplog):
+        assert main(["simulate", "--model", model_file, "--steps", "-3",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "--steps must be non-negative, got -3" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_abstract_twice_is_byte_identical(self, model_file, tmp_path):
         outs = []

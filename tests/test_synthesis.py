@@ -377,7 +377,66 @@ class TestReachPolicy:
                 assert abs(policy.value[s] - oracle[s]) < 1e-9
 
 
+@st.composite
+def pruned_automata(draw):
+    """Automata of 1-6 states (ints, sometimes one name) over 1-3 actions;
+    empty target sets leave an action disabled, so some states have none."""
+    n = draw(st.integers(1, 6))
+    states = list(range(n - 1)) + [draw(st.sampled_from([n - 1, "x"]))]
+    actions = tuple(f"a{k + 1}" for k in range(draw(st.integers(1, 3))))
+    targets = st.sets(st.sampled_from(states), max_size=3)
+    delta = {(q, a): draw(targets) for q in states for a in actions}
+    initial = draw(st.sets(st.sampled_from(states), min_size=1, max_size=3))
+    return bo.Nfa(states=frozenset(states), alphabet=actions, delta=delta,
+                  initial=frozenset(initial))
+
+
+def reference_edit_edges(t: bo.Nfa) -> set:
+    """One (q, actual, output, q') rewrite per pruned edge and real action."""
+    return {(q, actual, o, q2) for q in t.states for o in t.enabled(q)
+            for q2 in t.successors(q, o) for actual in t.alphabet}
+
+
+def reference_edit_dot(edges, t: bo.Nfa, initial) -> str:
+    """The rendering of a stored rewrite table, sorted by (q, actual,
+    output, q')."""
+    key = bo.model._state_key
+    order = {a: i for i, a in enumerate(t.alphabet)}
+    lines = ["digraph Tf {", "  rankdir=LR;", "  node [shape=circle];"]
+    lines += [f'  "{q}" [shape=circle];' for q in sorted(t.states, key=key)]
+    lines += ["  __init [shape=point];", f'  __init -> "{initial}";']
+    for q, actual, output, q2 in sorted(
+        edges, key=lambda e: (key(e[0]), order[e[1]], order[e[2]], key(e[3]))
+    ):
+        style = ("solid", "dashed", "dotted", "bold")[order[output] % 4]
+        lines.append(f'  "{q}" -> "{q2}" [label="{actual}/{output}", style={style}];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 class TestEditAutomaton:
+    @settings(max_examples=150, deadline=None)
+    @given(pruned_automata())
+    def test_view_matches_the_stored_rewrite_table(self, t):
+        edges = reference_edit_edges(t)
+        table: dict = {}
+        for q, actual, output, _ in edges:
+            table.setdefault((q, actual), set()).add(output)
+        ea = bo.build_edit_automaton(t)
+        assert ea.pruned is t
+        assert ea.initial == min(t.initial, key=bo.model._state_key)
+        assert (ea.states, ea.alphabet) == (t.states, t.alphabet)
+        for q in [*t.states, -1, "y"]:
+            for actual in (*t.alphabet, "zz"):
+                expected = tuple(a for a in t.alphabet if a in table.get((q, actual), ()))
+                assert ea.outputs(q, actual) == expected
+        assert ea.edges == edges
+        assert bo.edit_to_dot(ea) == reference_edit_dot(edges, t, ea.initial)
+
+    def test_empty_automaton_rejected(self):
+        t = bo.Nfa(states=frozenset(), alphabet=("a",), delta={}, initial=frozenset())
+        with pytest.raises(ValueError, match="empty"):
+            bo.build_edit_automaton(t)
+
     def test_pruned_cell_forces_the_surviving_output(self, partition3, abstraction3):
         q = ref_cells(partition3)
         ea = bo.build_edit_automaton(abstraction3.pruned)
@@ -422,6 +481,28 @@ class TestEditEngine:
         assert engine.current_cell == bo.locate_cell(
             bo.reduce_belief(engine.observer_belief), partition3
         )
+
+    def test_move_outside_the_output_transition_raises(self, mdp3, partition3, abstraction3):
+        # from the initial cell, a1 moves the belief into the first successor
+        # cell; without that edge the engine must stop there, although the
+        # cell is still a state of the automaton
+        t = abstraction3.pruned
+        q0 = abstraction3.initial_cell
+        engine = bo.EditEngine(mdp3, partition3, bo.build_edit_automaton(t))
+        assert engine.step("a1") == "a1"
+        moved = engine.current_cell
+        delta = dict(t.delta)
+        delta[(q0, "a1")] = t.successors(q0, "a1") - {moved}
+        assert delta[(q0, "a1")] and moved in t.states
+        broken = bo.EditAutomaton(
+            pruned=bo.Nfa(states=t.states, alphabet=t.alphabet, delta=delta,
+                          initial=t.initial),
+            initial=q0,
+        )
+        engine = bo.EditEngine(mdp3, partition3, broken)
+        with pytest.raises(bo.EditUndefinedError, match=f"cell {moved}, .*does not cover"):
+            engine.step("a1")
+        assert engine.current_cell == q0
 
     def test_single_action_model_echoes_it(self):
         m = bo.Mdp(states=("x", "y"), pi0=np.array([0.5, 0.5]), actions=("a",),
@@ -492,15 +573,18 @@ class TestVerifyEditRequirements:
         assert report.counterexample.requirement == 2
 
     def test_missing_outputs_raise_requirement_one(self, mdp3, partition3, abstraction3):
-        ea = bo.build_edit_automaton(abstraction3.pruned)
-        # hand-edit: drop every edge whose real action is a2
-        broken = bo.EditAutomaton(
-            states=ea.states, alphabet=ea.alphabet, initial=ea.initial,
-            edges=frozenset(e for e in ea.edges if e[1] != "a2"),
-        )
+        # strip every transition of the initial state: no output is defined
+        # there, whatever really happens
+        t = abstraction3.pruned
+        q0 = abstraction3.initial_cell
+        stripped = bo.Nfa(states=t.states, alphabet=t.alphabet,
+                          delta={k: v for k, v in t.delta.items() if k[0] != q0},
+                          initial=t.initial)
+        broken = bo.EditAutomaton(pruned=stripped, initial=q0)
         report = bo.verify_edit_requirements(broken, mdp3, partition3, depth=2)
         assert not report.ok
         assert report.counterexample.requirement == 1
+        assert report.counterexample.step == 1
 
     def test_depth_validation(self, mdp3, partition3, abstraction3):
         ea = bo.build_edit_automaton(abstraction3.pruned)
