@@ -57,6 +57,7 @@ from .partition import (
     build_grid,
     classify_cell,
     locate_cell,
+    overlapping_cells,
     partition_to_csv,
     partition_to_svg,
     refine_initial,

@@ -2,11 +2,9 @@
 
 Each safe cell becomes a state; one distinguished absorbing state ``bad``
 stands for every cell that overlaps the forbidden belief region.  For each
-action the two-corner reach boxes of all safe cells are computed at once;
-each box covers a range of grid indices per axis, found by bisecting the
-grid edges, and every non-excluded cell in that block (the cells of a
-bisected grid cell are tested one by one) yields a transition.  The work
-is proportional to the edges found, not to safe x usable cell pairs.
+action the two-corner reach boxes of all safe cells are computed at once,
+and one grid search finds the cells each box overlaps under
+:func:`boxes_overlap`'s rule; each that is not excluded yields a transition.
 Pruning then computes the safety game's greatest fixpoint: an action is
 disabled when a successor is ``bad`` or a deleted state, and a state left
 without enabled actions is deleted.
@@ -14,8 +12,6 @@ without enabled actions is deleted.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -23,7 +19,8 @@ import numpy as np
 
 from .dynamics import decomposition, reach_boxes, reduce_belief
 from .model import Mdp, Nfa, _state_key
-from .partition import BAD, EXCLUDED, SAFE, Partition, locate_cell
+from .partition import BAD, EXCLUDED, SAFE, Partition, locate_cell, overlapping_cells
+from .partition import _overlap_rule
 
 __all__ = [
     "BAD_STATE",
@@ -75,55 +72,14 @@ class AbstractionResult:
     log: tuple[PruneEvent, ...]
 
 
-# Per overlap mode: the comparison every coordinate test uses, and the
-# ``searchsorted`` side that counts the edges e with e < v (strict) or
-# e <= v (closed).
-_OVERLAP_RULES = {"strict": (np.less, "left"), "closed": (np.less_equal, "right")}
-
-
-def _overlap_rule(mode: str):
-    try:
-        return _OVERLAP_RULES[mode]
-    except KeyError:
-        raise ValueError(f"unknown overlap mode {mode!r}") from None
-
-
 def boxes_overlap(alo, ahi, blo, bhi, mode: str = "strict"):
-    """Interval overlap test.  ``strict`` requires the interiors to meet,
-    ``closed`` also counts shared boundary points.  The corners broadcast
-    against each other, with coordinates on the last axis, so one box is
-    tested against many at once."""
-    less, _ = _overlap_rule(mode)
-    return np.all(less(np.maximum(alo, blo), np.minimum(ahi, bhi)), axis=-1)
+    """Whether two boxes' intervals meet on every axis under
+    :func:`_overlap_rule`.  The corners broadcast, with coordinates on the
+    last axis, so one box is tested against many at once."""
+    return np.all(_overlap_rule(mode)(alo, ahi, blo, bhi), axis=-1)
 
 
-def _grid_ranges(grid_edges, rlo: np.ndarray, rhi: np.ndarray, mode: str):
-    """Per axis, the index range ``[start, stop)`` of the grid cells each box
-    ``[rlo[r], rhi[r]]`` overlaps; both are boxes x dim integer arrays, and
-    an empty range has ``stop == start``.
-
-    Grid cell i of an axis spans ``[e_i, e_(i+1)]`` with ``e_i < e_(i+1)``,
-    so :func:`boxes_overlap`'s test on that axis is ``rlo < rhi``,
-    ``e_i < rhi`` and ``rlo < e_(i+1)`` (each ``<=`` when closed).
-    """
-    less, side = _overlap_rule(mode)
-    other = "right" if side == "left" else "left"
-    start = np.empty(rlo.shape, dtype=np.intp)
-    stop = np.empty(rlo.shape, dtype=np.intp)
-    for k, edges in enumerate(grid_edges):
-        # e_i < rhi exactly for i < searchsorted(e, rhi, side)
-        stop[:, k] = np.minimum(np.searchsorted(edges, rhi[:, k], side), len(edges) - 1)
-        # rlo < e_(i+1) exactly for i + 1 >= searchsorted(e, rlo, other)
-        start[:, k] = np.maximum(np.searchsorted(edges, rlo[:, k], other) - 1, 0)
-    stop = np.maximum(stop, start)
-    empty = ~np.all(less(rlo, rhi), axis=1)
-    stop[empty] = start[empty]
-    return start, stop
-
-
-def build_abstraction(
-    m: Mdp, p: Partition, overlap_mode: str = "strict", clip: bool = False
-) -> Nfa:
+def build_abstraction(m: Mdp, p: Partition, overlap_mode: str = "strict") -> Nfa:
     """Abstraction automaton over the safe cells of ``p`` plus ``bad``.
 
     Requires a canonically ordered model.  Cells outside the belief domain
@@ -132,46 +88,28 @@ def build_abstraction(
     cell is bad, :class:`BadInitialCellError` asks the caller to refine.
     """
     _overlap_rule(overlap_mode)
-    x0 = reduce_belief(m.pi0)
-    initial_cell = locate_cell(x0, p)
+    initial_cell = locate_cell(reduce_belief(m.pi0), p)
     if p.status[p.row(initial_cell)] == BAD:
         raise BadInitialCellError(
             f"initial belief lies in bad cell {initial_cell}; refine the partition first"
         )
 
-    # what an overlapped cell contributes: its id, ``bad``, or nothing
-    target = {
-        cid: BAD_STATE if status == BAD else cid
-        for cid, status in zip(p.ids, p.status)
-        if status != EXCLUDED
-    }
-    # the cells of each bisected grid cell: their targets and boxes
-    split = {}
-    for g, members in p.splits.items():
-        rows = [p.row(cid) for cid in members]
-        split[g] = ([target.get(cid) for cid in members], p.lo[rows], p.hi[rows])
-    # grid cell (i_0, ..., i_(d-1)) is number sum(i_k * stride_k)
-    shape = [len(e) - 1 for e in p.grid_edges]
-    strides = [math.prod(shape[k + 1:]) for k in range(p.dim)]
-
-    safe = [r for r, status in enumerate(p.status) if status == SAFE]
+    status = np.array(p.status)
+    # what each row contributes: its id (p.ids' own object) or ``bad``
+    target = np.where(status == BAD, BAD_STATE, np.array(p.ids, dtype=object))
+    usable = status != EXCLUDED
+    safe = np.flatnonzero(status == SAFE).tolist()
     delta: dict = {}
     for a in m.actions:
-        rlo, rhi = reach_boxes(decomposition(m, a), p.lo[safe], p.hi[safe], clip=clip)
-        start, stop = _grid_ranges(p.grid_edges, rlo, rhi, overlap_mode)
-        for b, (row, first, last) in enumerate(zip(safe, start.tolist(), stop.tolist())):
-            targets = set()
-            axes = [range(i * k, j * k, k) for i, j, k in zip(first, last, strides)]
-            for offsets in itertools.product(*axes):
-                g = sum(offsets)
-                if g in split:
-                    cell_targets, lo, hi = split[g]
-                    hit = boxes_overlap(rlo[b], rhi[b], lo, hi, overlap_mode)
-                    targets.update(t for t, h in zip(cell_targets, hit) if h and t is not None)
-                elif g in target:
-                    targets.add(target[g])
-            if targets:
-                delta[(p.ids[row], a)] = frozenset(targets)
+        rlo, rhi = reach_boxes(decomposition(m, a), p.lo[safe], p.hi[safe])
+        boxes, rows = overlapping_cells(p, rlo, rhi, overlap_mode)
+        keep = usable[rows]
+        targets = target[rows[keep]].tolist()
+        ends = np.cumsum(np.bincount(boxes[keep], minlength=len(safe))).tolist()
+        for row, first, last in zip(safe, [0, *ends], ends):
+            if first < last:
+                # filled as a set first, which sizes the frozenset to fit
+                delta[(p.ids[row], a)] = frozenset(set(targets[first:last]))
 
     # every target is a safe cell id or ``bad`` and the initial cell is safe,
     # so the parts need no re-validation
@@ -183,7 +121,7 @@ def build_abstraction(
     )
 
 
-def prune(nfa: Nfa, initial: int, bad_state=BAD_STATE) -> tuple[Nfa, tuple[PruneEvent, ...]]:
+def prune(nfa: Nfa, initial: int) -> tuple[Nfa, tuple[PruneEvent, ...]]:
     """Keep the largest set of states from which some action always stays
     safe: the greatest fixpoint of the safety game against the
     nondeterminism (controlled invariance).
@@ -201,7 +139,7 @@ def prune(nfa: Nfa, initial: int, bad_state=BAD_STATE) -> tuple[Nfa, tuple[Prune
     """
     if initial not in nfa.states:
         raise ValueError(f"initial state {initial!r} not in the automaton")
-    live = sorted((q for q in nfa.states if q != bad_state), key=_state_key)
+    live = sorted((q for q in nfa.states if q != BAD_STATE), key=_state_key)
     enabled = {q: nfa.enabled(q) for q in live}
     events: list[PruneEvent] = []
     disabled = set()
@@ -214,7 +152,7 @@ def prune(nfa: Nfa, initial: int, bad_state=BAD_STATE) -> tuple[Nfa, tuple[Prune
 
     for q in live:
         for a in enabled[q]:
-            if bad_state in nfa.delta[(q, a)]:
+            if BAD_STATE in nfa.delta[(q, a)]:
                 disable(q, a, "reaches the bad region")
     queue = deque(q for q in live if not left[q])
     # the (state, action) keys of nfa.delta into each state, built once a
@@ -255,11 +193,9 @@ def prune(nfa: Nfa, initial: int, bad_state=BAD_STATE) -> tuple[Nfa, tuple[Prune
     return pruned, tuple(events)
 
 
-def abstract(
-    m: Mdp, p: Partition, overlap_mode: str = "strict", clip: bool = False
-) -> AbstractionResult:
+def abstract(m: Mdp, p: Partition, overlap_mode: str = "strict") -> AbstractionResult:
     """Build the abstraction and prune it in one step."""
-    nfa = build_abstraction(m, p, overlap_mode=overlap_mode, clip=clip)
+    nfa = build_abstraction(m, p, overlap_mode=overlap_mode)
     initial_cell = next(iter(nfa.initial))
     pruned, log = prune(nfa, initial_cell)
     return AbstractionResult(nfa=nfa, initial_cell=initial_cell, pruned=pruned, log=log)
@@ -272,13 +208,13 @@ def _node_name(q) -> str:
     return str(q).replace('"', '\\"')
 
 
-def nfa_to_dot(nfa: Nfa, name: str = "T", bad_state=BAD_STATE) -> str:
+def nfa_to_dot(nfa: Nfa, name: str = "T") -> str:
     """Graphviz rendering: one edge style per action (solid for the first,
     dashed for the second), ``bad`` as a double circle, initial states
     marked by an arrow from a point node."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle];']
     for q in nfa.sorted_states():
-        shape = "doublecircle" if q == bad_state else "circle"
+        shape = "doublecircle" if q == BAD_STATE else "circle"
         lines.append(f'  "{_node_name(q)}" [shape={shape}];')
     for i, q in enumerate(sorted(nfa.initial, key=_state_key)):
         lines.append(f"  __init{i} [shape=point];")

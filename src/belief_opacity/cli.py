@@ -131,7 +131,7 @@ def cmd_abstract(args) -> int:
     m = _load_validated(args)
     p = _prepare_partition(args, m)
     out = _outdir(args)
-    nfa = build_abstraction(m, p, overlap_mode=args.overlap, clip=args.clip)
+    nfa = build_abstraction(m, p, overlap_mode=args.overlap)
     _write(out / "cells.csv", partition_to_csv(p))
     _write(out / "abstraction.dot", nfa_to_dot(nfa))
     if p.dim == 2:
@@ -161,7 +161,7 @@ def cmd_synthesize(args) -> int:
         raise ModelFormatError(f"unknown target states {unknown}")
     p = _prepare_partition(args, m)
     out = _outdir(args)
-    result = abstract(m, p, overlap_mode=args.overlap, clip=args.clip)
+    result = abstract(m, p, overlap_mode=args.overlap)
     if args.mode == "direct":
         restricted = prune_blocking(restrict_actions(m, result.pruned))
         _write(out / "allowed.csv", allowed_to_csv(restricted))
@@ -194,7 +194,7 @@ def cmd_simulate(args) -> int:
         if args.widths is None:
             raise ModelFormatError("--edited requires --widths")
         p = _prepare_partition(args, m)
-        result = abstract(m, p, overlap_mode=args.overlap, clip=args.clip)
+        result = abstract(m, p, overlap_mode=args.overlap)
         ea = build_edit_automaton(result.pruned)
         trace = simulate_edited(
             m, p, ea, source, args.steps, strategy=args.strategy, seed=args.seed
@@ -225,8 +225,6 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--widths", required=widths == "required", default=None,
                             help="comma-separated grid widths (one value is broadcast)")
             sp.add_argument("--overlap", choices=("strict", "closed"), default="strict")
-            sp.add_argument("--clip", action="store_true",
-                            help="clip reach boxes to [0, 1] before overlap tests")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="out", help="output directory")
 

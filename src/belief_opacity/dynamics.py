@@ -154,31 +154,26 @@ def _matvec(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def reach_boxes(
-    d: AffineDecomposition, lo: np.ndarray, hi: np.ndarray, clip: bool = False
+    d: AffineDecomposition, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two-corner reach boxes of many boxes at once.
 
     Row ``r`` of the result is ``[f(lo[r], hi[r]), f(hi[r], lo[r])]`` for
-    the box ``[lo[r], hi[r]]`` (``lo`` and ``hi`` are boxes x dim arrays);
-    with ``clip`` both corners are clamped to [0, 1].
+    the box ``[lo[r], hi[r]]`` (``lo`` and ``hi`` are boxes x dim arrays).
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     rlo = _matvec(d.a1, lo) - _matvec(d.a2, hi) + d.b
     rhi = _matvec(d.a1, hi) - _matvec(d.a2, lo) + d.b
-    if clip:
-        rlo = np.clip(rlo, 0.0, 1.0)
-        rhi = np.clip(rhi, 0.0, 1.0)
     return rlo, rhi
 
 
-def reach_box(d: AffineDecomposition, box: IntervalBox, clip: bool = False) -> IntervalBox:
+def reach_box(d: AffineDecomposition, box: IntervalBox) -> IntervalBox:
     """Two-corner over-approximation ``[f(lo, hi), f(hi, lo)]`` of the
     one-step image of ``box``: the one-box case of :func:`reach_boxes`.
 
-    With ``clip`` the result is clamped to [0, 1] per coordinate; the
-    simplex-sum constraint is left to the cell-overlap stage, which ignores
-    cells outside the belief domain.
+    The box may leave [0, 1]; the cell-overlap stage ignores cells outside
+    the belief domain.
     """
-    lo, hi = reach_boxes(d, box.lo[None, :], box.hi[None, :], clip=clip)
+    lo, hi = reach_boxes(d, box.lo[None, :], box.hi[None, :])
     return IntervalBox(lo=lo[0], hi=hi[0])

@@ -352,8 +352,12 @@ def serialize_model(m: Mdp) -> str:
 
 
 def load_model(path) -> Mdp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8 text (byte {exc.start})") from None
+    return parse_model(text)
 
 
 def validate_mdp(m: Mdp, tol: float = 1e-9) -> ValidationReport:
@@ -371,8 +375,8 @@ def validate_mdp(m: Mdp, tol: float = 1e-9) -> ValidationReport:
         issues.append(Issue("warning", message, location))
 
     # sums are taken over the nonnegative part so that negative entries
-    # cannot cancel excess mass and mask a sum failure
-    if np.any(m.pi0 < -tol) or np.any(m.pi0 > 1 + tol):
+    # cannot cancel excess mass and mask a sum failure; NaN fails the range tests
+    if not np.all((m.pi0 >= -tol) & (m.pi0 <= 1 + tol)):
         err("entries must lie in [0, 1]", "pi0")
     pi0_mass = np.clip(m.pi0, 0.0, None).sum()
     if abs(pi0_mass - 1.0) > tol:
@@ -380,7 +384,7 @@ def validate_mdp(m: Mdp, tol: float = 1e-9) -> ValidationReport:
 
     for a in m.actions:
         h = m.trans[a]
-        if np.any(h < -tol) or np.any(h > 1 + tol):
+        if not np.all((h >= -tol) & (h <= 1 + tol)):
             err("entries must lie in [0, 1]", f"trans[{a}]")
         sums = np.clip(h, 0.0, None).sum(axis=0)
         for j in range(m.n):

@@ -41,6 +41,7 @@ __all__ = [
     "build_grid",
     "classify_cell",
     "locate_cell",
+    "overlapping_cells",
     "refine_initial",
     "partition_to_csv",
     "partition_to_svg",
@@ -76,8 +77,9 @@ class Partition:
     built on; grid cells are numbered in row-major order over them.  An
     unrefined grid cell is the cell whose id equals its grid index;
     ``splits`` maps each grid cell that refinement bisected to the ids of
-    the cells it now holds.  Together they index point location and the
-    overlap search of the abstraction.
+    the cells it now holds, in ascending order.  Together they index
+    :func:`locate_cell` and :func:`overlapping_cells`; ids are not dense
+    once a grid cell is split.
     """
 
     lo: np.ndarray
@@ -99,6 +101,16 @@ class Partition:
     @cached_property
     def _rows(self) -> dict[int, int]:
         return dict(zip(self.ids, range(len(self.ids))))
+
+    @cached_property
+    def _grid_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid cell g holds the rows ``cells[start[g]:start[g + 1]]``."""
+        grid = np.array(self.ids)  # an unsplit grid cell's id is its index
+        for g, members in self.splits.items():
+            grid[[self._rows[cid] for cid in members]] = g
+        cells = np.argsort(grid, kind="stable")
+        count = math.prod(len(e) - 1 for e in self.grid_edges)
+        return np.searchsorted(grid[cells], np.arange(count + 1)), cells
 
     def _cell_at(self, row: int) -> PartitionCell:
         box = IntervalBox(lo=self.lo[row], hi=self.hi[row])
@@ -255,6 +267,66 @@ def locate_cell(x: np.ndarray, p: Partition) -> int:
     if best is None:
         raise ValueError(f"point {xs!r} outside the belief domain")
     return best[1]
+
+
+def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``start[j], ..., start[j] + count[j] - 1`` end to end: run numbers and values."""
+    ends = np.cumsum(count)
+    offset = np.repeat(ends - count - start, count)
+    return np.repeat(np.arange(len(count)), count), np.arange(len(offset)) - offset
+
+
+_OVERLAP_RULES = {"strict": np.less, "closed": np.less_equal}
+_BLOCK = 128  # boxes searched at once, which bounds the temporary arrays
+
+
+def _overlap_rule(mode: str):
+    """Elementwise test whether the intervals ``[alo, ahi]`` and ``[blo, bhi]``
+    meet, comparing the larger lower end with the smaller upper end:
+    ``strict`` requires the interiors to meet, ``closed`` also counts shared
+    end points."""
+    try:
+        less = _OVERLAP_RULES[mode]
+    except KeyError:
+        raise ValueError(f"unknown overlap mode {mode!r}") from None
+    return lambda alo, ahi, blo, bhi: less(np.maximum(alo, blo), np.minimum(ahi, bhi))
+
+
+def overlapping_cells(p: Partition, lo: np.ndarray, hi: np.ndarray, mode: str):
+    """Every (box, cell) pair that overlaps under ``mode`` (see
+    :func:`_overlap_rule`), for the boxes ``[lo[b], hi[b]]``: arrays of box
+    indices and cell rows, ordered by box, then grid index, then row.
+
+    Per axis, a box's closed index range of grid cells comes from
+    ``grid_edges``; the ranges are expanded with array arithmetic, keeping
+    the pairs that pass on that axis, and each split grid cell is replaced
+    by those of its cells that pass.
+    """
+    meets = _overlap_rule(mode)
+    edges = [np.asarray(e) for e in p.grid_edges]
+    boxes, rows = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for first in range(0, len(lo), _BLOCK):
+        blo, bhi = lo[first:first + _BLOCK], hi[first:first + _BLOCK]
+        box, g = np.arange(len(blo)), np.zeros(len(blo), dtype=np.intp)
+        for k, e in enumerate(edges):
+            # grid cell i meets [blo, bhi] as closed intervals, as either
+            # rule requires, exactly when e_i <= bhi and blo <= e_(i+1)
+            low = np.maximum(np.searchsorted(e, blo[:, k], "left") - 1, 0)
+            high = np.minimum(np.searchsorted(e, bhi[:, k], "right"), len(e) - 1)
+            pair, i = _runs(low[box], np.maximum(high - low, 0)[box])
+            box, g = box[pair], g[pair] * (len(e) - 1) + i
+            keep = meets(blo[box, k], bhi[box, k], e[i], e[i + 1])
+            box, g = box[keep], g[keep]
+        row = g  # without splits, a grid cell's index is its id and its row
+        if p.splits:  # each grid cell's cells, tested on every axis
+            start, cells = p._grid_cells
+            pair, j = _runs(start[g], start[g + 1] - start[g])
+            box, row = box[pair], cells[j]
+            keep = np.all(meets(blo[box], bhi[box], p.lo[row], p.hi[row]), axis=-1)
+            box, row = box[keep], row[keep]
+        boxes.append(box + first)
+        rows.append(row)
+    return np.concatenate(boxes), np.concatenate(rows)
 
 
 def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) -> Partition:

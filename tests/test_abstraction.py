@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -64,8 +66,6 @@ class TestBuildAbstraction:
             assert nfa.successors(cell, a) == {cell}
 
     def test_bad_initial_cell_raises(self, mdp3, partition3):
-        from dataclasses import replace
-
         m = replace(mdp3, threshold=0.3)  # initial cell corner mass is 0.6
         p = bo.build_grid(0.2, m)
         with pytest.raises(bo.BadInitialCellError):
@@ -84,31 +84,13 @@ class TestBuildAbstraction:
         with pytest.raises(ValueError, match="overlap"):
             bo.build_abstraction(mdp3, partition3, overlap_mode="open")
 
-    def test_clipping_tightens_and_stays_sound(self):
-        from dataclasses import replace
-
-        rng = np.random.default_rng(47)
-        checked = 0
-        for seed in range(60):
-            if checked >= 12:
-                break
-            m = random_mdp(rng, 3)
-            mass0 = m.secret_mass(m.pi0)
-            m = replace(m, threshold=min(1.0, mass0 + float(rng.uniform(0.1, 0.6))))
-            p = bo.build_grid(0.25, m)
-            try:
-                raw = bo.build_abstraction(m, p, overlap_mode="closed", clip=False)
-                clipped = bo.build_abstraction(m, p, overlap_mode="closed", clip=True)
-            except bo.BadInitialCellError:
-                continue
-            checked += 1
-            for key, targets in clipped.delta.items():
-                assert targets <= raw.successors(*key)
-            assert bo.soundness_check(m, p, clipped, depth=4, samples=50).ok
-        assert checked >= 8
+    def test_unknown_overlap_mode_is_reported_before_a_bad_initial_cell(self, mdp3):
+        m = replace(mdp3, threshold=0.3)  # initial cell corner mass is 0.6
+        with pytest.raises(ValueError, match="overlap"):
+            bo.build_abstraction(m, bo.build_grid(0.2, m), overlap_mode="open")
 
 
-def all_pairs_delta(m, p, overlap_mode, clip):
+def all_pairs_delta(m, p, overlap_mode):
     """Reference abstraction: one reach box per safe cell and action, tested
     against every non-excluded cell."""
     usable = [c for c in p.cells if c.status != bo.EXCLUDED]
@@ -118,7 +100,7 @@ def all_pairs_delta(m, p, overlap_mode, clip):
     for a in m.actions:
         d = bo.decomposition(m, a)
         for cell in p.safe_cells():
-            r = bo.reach_box(d, cell.box, clip=clip)
+            r = bo.reach_box(d, cell.box)
             lo = np.maximum(r.lo, los)
             hi = np.minimum(r.hi, his)
             hit = np.all(lo < hi, axis=1) if overlap_mode == "strict" else np.all(lo <= hi, axis=1)
@@ -133,11 +115,9 @@ def all_pairs_delta(m, p, overlap_mode, clip):
 def abstraction_cases(draw):
     """A random model with 2-4 states on a grid of widths that may not divide
     1, refined around its initial belief and up to two more beliefs when
-    their cells are bad, plus an overlap mode and clipping.  Half the models
+    their cells are bad, plus an overlap mode.  Half the models
     have transition probabilities in quarters, so that reach-box corners
     fall exactly on grid edges."""
-    from dataclasses import replace
-
     n = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = random_mdp(rng, n)
@@ -157,35 +137,73 @@ def abstraction_cases(draw):
                 p = bo.refine_initial(p, x, m)
             except bo.RefinementFailedError:
                 pass
-    return m, p, draw(st.sampled_from(["strict", "closed"])), draw(st.booleans())
+    return m, p, draw(st.sampled_from(["strict", "closed"]))
 
 
 class TestGridIndexedOverlap:
     @settings(max_examples=80, deadline=None)
     @given(abstraction_cases())
     def test_same_delta_as_all_pairs(self, case):
-        m, p, overlap_mode, clip = case
+        m, p, overlap_mode = case
         try:
-            nfa = bo.build_abstraction(m, p, overlap_mode=overlap_mode, clip=clip)
+            nfa = bo.build_abstraction(m, p, overlap_mode=overlap_mode)
         except bo.BadInitialCellError:
             assume(False)
-        assert {k: set(v) for k, v in nfa.delta.items()} == all_pairs_delta(m, p, overlap_mode, clip)
+        assert {k: set(v) for k, v in nfa.delta.items()} == all_pairs_delta(m, p, overlap_mode)
         assert nfa.states == {c.id for c in p.safe_cells()} | {bo.BAD_STATE}
 
     @settings(max_examples=40, deadline=None)
     @given(abstraction_cases())
     def test_reach_boxes_rows_equal_reach_box(self, case):
-        m, p, _, clip = case
+        m, p, _ = case
         for a in m.actions:
             d = bo.decomposition(m, a)
-            rlo, rhi = bo.reach_boxes(d, p.lo, p.hi, clip=clip)
+            rlo, rhi = bo.reach_boxes(d, p.lo, p.hi)
             for row, cell in enumerate(p.cells):
-                r = bo.reach_box(d, cell.box, clip=clip)
+                r = bo.reach_box(d, cell.box)
                 assert rlo[row].tobytes() == r.lo.tobytes()
                 assert rhi[row].tobytes() == r.hi.tobytes()
-                if not clip:  # and equal to f evaluated one vector at a time
-                    f = bo.decomp_eval(d, cell.box.lo, cell.box.hi)
-                    assert rlo[row].tobytes() == f.tobytes()
+                # and equal to f evaluated one vector at a time
+                f = bo.decomp_eval(d, cell.box.lo, cell.box.hi)
+                assert rlo[row].tobytes() == f.tobytes()
+
+    def test_refined_reference_with_sparse_ids(self, mdp3):
+        # pi0 just under lambda: refine_initial splits the initial grid cell,
+        # so the ids skip that cell's and run past the cell count
+        m = replace(mdp3, pi0=np.array([0.5, 0.29, 0.21]))
+        p = bo.refine_initial(bo.build_grid(0.02, m), bo.reduce_belief(m.pi0), m)
+        assert p.splits and max(p.ids) >= len(p.ids)
+        for overlap_mode in ("strict", "closed"):
+            nfa = bo.build_abstraction(m, p, overlap_mode=overlap_mode)
+            assert {k: set(v) for k, v in nfa.delta.items()} == all_pairs_delta(m, p, overlap_mode)
+            # actions in alphabet order, safe cells ascending
+            assert list(nfa.delta) == sorted(nfa.delta, key=lambda k: (m.actions.index(k[1]), k[0]))
+
+
+class TestOverlappingCells:
+    @pytest.mark.parametrize("mode, less", [("strict", np.less), ("closed", np.less_equal)])
+    def test_pairs_and_order_match_a_scan_of_every_cell(self, mdp3, mode, less):
+        m = replace(mdp3, pi0=np.array([0.5, 0.29, 0.21]))
+        p = bo.refine_initial(bo.build_grid(0.1, m), bo.reduce_belief(m.pi0), m)
+        assert p.splits
+        rng = np.random.default_rng(5)
+        # corners on grid edges or not, boxes of zero width and boxes
+        # leaving the unit square; 300 boxes span more than two blocks
+        lo = np.concatenate([rng.integers(-2, 12, (150, 2)) / 10, rng.uniform(-0.2, 1.1, (150, 2))])
+        hi = lo + np.concatenate([rng.integers(0, 4, (150, 2)) / 10, rng.uniform(0, 0.3, (150, 2))])
+        meets = lambda alo, ahi, blo, bhi: less(np.maximum(alo, blo), np.minimum(ahi, bhi))
+        boxes, rows = bo.overlapping_cells(p, lo, hi, mode)
+        grid = np.ravel_multi_index(
+            [np.searchsorted(e, p.lo[:, k], "right") - 1 for k, e in enumerate(p.grid_edges)],
+            [len(e) - 1 for e in p.grid_edges],
+        )
+        expected = []
+        for b in range(len(lo)):
+            hit = np.flatnonzero(np.all(meets(lo[b], hi[b], p.lo, p.hi), axis=1))
+            expected += [(b, r) for r in sorted(hit, key=lambda r: (grid[r], r))]
+        assert list(zip(boxes.tolist(), rows.tolist())) == expected
+        halves = {p.row(cid) for cids in p.splits.values() for cid in cids}
+        assert halves & set(rows.tolist())
 
 
 class TestBoxesOverlap:
@@ -293,8 +311,6 @@ class TestPrune:
         for _ in range(20):
             m = random_mdp(rng, 3)
             mass0 = m.secret_mass(m.pi0)
-            from dataclasses import replace
-
             m = replace(m, threshold=min(1.0, mass0 + float(rng.uniform(0.1, 0.5))))
             p = bo.build_grid(0.25, m)
             x0 = bo.reduce_belief(m.pi0)

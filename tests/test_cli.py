@@ -33,6 +33,24 @@ class TestValidate:
         path.write_text("states: [s1,")
         assert main(["validate", "--model", str(path)]) == 2
 
+    def test_nan_entry_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        path.write_text(THREE_STATE_DOC.replace("pi0: [0.3, 0.1, 0.6]", "pi0: [0.3, .nan, 0.6]"))
+        assert main(["validate", "--model", str(path)]) == 1
+        assert "entries must lie in [0, 1] [pi0]" in capsys.readouterr().out
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys, caplog):
+        path = tmp_path / "latin.yaml"
+        path.write_bytes(THREE_STATE_DOC.encode() + b"# \xff\n")
+        assert main(["validate", "--model", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().out
+        assert main(["abstract", "--model", str(path), "--widths", "0.2",
+                     "--out", str(tmp_path / "out")]) == 2
+        offset = len(THREE_STATE_DOC.encode()) + 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"model file is not UTF-8 text (byte {offset})"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestAbstract:
     def test_writes_all_artifacts(self, model_file, tmp_path):
@@ -92,6 +110,18 @@ lambda: 0.9
         path.write_text(THREE_STATE_DOC.replace("- [0.4, 0.7, 0.7]", "- [0.3, 0.7, 0.7]"))
         assert main(["abstract", "--model", str(path), "--widths", "0.2",
                      "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("old, new", [
+        ("pi0: [0.3, 0.1, 0.6]", "pi0: [0.3, .nan, 0.6]"),
+        ("- [0.4, 0.7, 0.7]", "- [0.4, .nan, 0.7]"),
+    ])
+    def test_nan_model_exits_one(self, tmp_path, capsys, old, new):
+        path = tmp_path / "nan.yaml"
+        path.write_text(THREE_STATE_DOC.replace(old, new))
+        assert main(["abstract", "--model", str(path), "--widths", "0.2",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "entries must lie in [0, 1]" in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynthesize:
@@ -199,6 +229,12 @@ class TestUsageErrors:
         assert [r.getMessage() for r in caplog.records] == [
             "belief abstraction needs at least two states"]
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_removed_clip_flag_is_rejected(self, model_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["abstract", "--model", model_file, "--widths", "0.2", "--clip",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
     def test_negative_steps_exit_two(self, model_file, tmp_path, caplog):
         assert main(["simulate", "--model", model_file, "--steps", "-3",

@@ -169,14 +169,6 @@ class TestReachBox:
         np.testing.assert_array_equal(r.lo, r.hi)
         np.testing.assert_array_equal(r.lo, bo.decomp_eval(d, x, x))
 
-    def test_clip_clamps_to_unit_box(self, mdp3):
-        d = bo.decomposition(mdp3, "a1")
-        box = bo.IntervalBox(lo=np.zeros(2), hi=np.ones(2))
-        raw = bo.reach_box(d, box, clip=False)
-        assert raw.lo[0] < 0  # the unclipped corner leaves the domain
-        clipped = bo.reach_box(d, box, clip=True)
-        assert np.all(clipped.lo >= 0) and np.all(clipped.hi <= 1)
-
     def test_containment_on_random_models(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

@@ -86,6 +86,18 @@ class TestValidate:
         m = bo.parse_model(THREE_STATE_DOC.replace("lambda: 0.8", "lambda: 1.4"))
         assert not bo.validate_mdp(m).ok
 
+    @pytest.mark.parametrize("old, new, location", [
+        ("pi0: [0.3, 0.1, 0.6]", "pi0: [0.3, .nan, 0.6]", "pi0"),
+        ("- [0.4, 0.7, 0.7]", "- [0.4, .nan, 0.7]", "trans[a1]"),
+        ("- [0.4, 0.35, 0.5]", "- [.inf, 0.35, 0.5]", "trans[a2]"),
+    ])
+    def test_non_finite_entries_rejected(self, old, new, location):
+        # NaN fails every comparison: the range test must ask for entries inside
+        report = bo.validate_mdp(bo.parse_model(THREE_STATE_DOC.replace(old, new)))
+        assert not report.ok
+        assert any(i.message == "entries must lie in [0, 1]" and i.location == location
+                   for i in report.issues)
+
     def test_tolerance_is_configurable(self):
         doc = THREE_STATE_DOC.replace("- [0.4, 0.7, 0.7]", "- [0.4000001, 0.7, 0.7]")
         m = bo.parse_model(doc)

@@ -288,6 +288,33 @@ class TestDirectRouteReplay:
                     assert cell in res.pruned.states, (models, step, a, cell)
         assert (models, narrowed) == (22, 9)
 
+    def test_edit_engine_never_sticks_or_leaks(self):
+        # the same models and thresholds; on each that synthesizes, 500
+        # seeded real actions under every strategy
+        rng = np.random.default_rng(77)
+        real = np.random.default_rng(0)
+        models = steps = rewrites = 0
+        for _ in range(40):
+            m = random_mdp(rng, 3)
+            m = replace(m, threshold=min(1.0, m.secret_mass(m.pi0) + float(rng.uniform(0.05, 0.4))))
+            p = bo.build_grid(0.1, m)
+            x0 = bo.reduce_belief(m.pi0)
+            try:
+                if p.cell(bo.locate_cell(x0, p)).status == bo.BAD:
+                    p = bo.refine_initial(p, x0, m)
+                ea = bo.build_edit_automaton(bo.abstract(m, p).pruned)
+            except (bo.InitialCellPrunedError, bo.RefinementFailedError):
+                continue
+            models += 1
+            for seed, strategy in enumerate(bo.STRATEGIES):
+                engine = bo.EditEngine(m, p, ea, strategy=strategy, seed=seed)
+                for k in real.integers(len(m.actions), size=500).tolist():
+                    out = engine.step(m.actions[k])  # raises if the engine is stuck
+                    assert m.secret_mass(engine.observer_belief) <= m.threshold
+                    steps += 1
+                    rewrites += out != m.actions[k]
+        assert (models, steps, rewrites) == (22, 33000, 12616)
+
 
 class TestPruneBlocking:
     def test_reference_model_unchanged(self, mdp3, restricted3):
