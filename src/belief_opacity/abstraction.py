@@ -8,18 +8,26 @@ and one grid search finds the cells each box overlaps under
 Pruning then computes the safety game's greatest fixpoint: an action is
 disabled when a successor is ``bad`` or a deleted state, and a state left
 without enabled actions is deleted.
+
+Both automata are kept as the sorted edge arrays of :class:`~.model.Nfa`.
+The search's (box, cell) pairs become one int key per edge, which is
+sorted and deduplicated (the bad cells a box overlaps make one edge to
+``bad``); no set is built per (cell, action).  Pruning reads the same
+arrays: the bad-leading actions are the edges into ``bad``, and the
+deletion cascade walks a predecessor table sorted by target.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .dynamics import decomposition, reach_boxes, reduce_belief
 from .model import Mdp, Nfa, _state_key
-from .partition import BAD, EXCLUDED, SAFE, Partition, locate_cell, overlapping_cells
+from .partition import BAD, SAFE, Partition, locate_cell, overlapping_cells
 from .partition import _overlap_rule
 
 __all__ = [
@@ -94,31 +102,31 @@ def build_abstraction(m: Mdp, p: Partition, overlap_mode: str = "strict") -> Nfa
             f"initial belief lies in bad cell {initial_cell}; refine the partition first"
         )
 
-    status = np.array(p.status)
-    # what each row contributes: its id (p.ids' own object) or ``bad``
-    target = np.where(status == BAD, BAD_STATE, np.array(p.ids, dtype=object))
-    usable = status != EXCLUDED
-    safe = np.flatnonzero(status == SAFE).tolist()
-    delta: dict = {}
-    for a in m.actions:
+    status = np.array(p.status, dtype=object)
+    safe = np.flatnonzero(status == SAFE)
+    # states: the safe cells in ascending id, then ``bad``; each row's state
+    # index, or -1 for an excluded row
+    n = len(safe) + 1
+    state = np.where(status == BAD, n - 1, -1)
+    state[safe] = np.arange(len(safe))
+    # an edge's key is its slot (source * |actions| + action) above the
+    # bits of its target, so keys sort like (source, action, target)
+    k, dst_bits = len(m.actions), n.bit_length()
+    keys = []
+    for a_k, a in enumerate(m.actions):
         rlo, rhi = reach_boxes(decomposition(m, a), p.lo[safe], p.hi[safe])
         boxes, rows = overlapping_cells(p, rlo, rhi, overlap_mode)
-        keep = usable[rows]
-        targets = target[rows[keep]].tolist()
-        ends = np.cumsum(np.bincount(boxes[keep], minlength=len(safe))).tolist()
-        for row, first, last in zip(safe, [0, *ends], ends):
-            if first < last:
-                # filled as a set first, which sizes the frozenset to fit
-                delta[(p.ids[row], a)] = frozenset(set(targets[first:last]))
-
-    # every target is a safe cell id or ``bad`` and the initial cell is safe,
-    # so the parts need no re-validation
-    return Nfa._trusted(
-        states=frozenset([*(p.ids[r] for r in safe), BAD_STATE]),
-        alphabet=m.actions,
-        delta=delta,
-        initial=frozenset({initial_cell}),
-    )
+        dst = state[rows]
+        keep = dst >= 0
+        keys.append(((boxes[keep] * k + a_k) << dst_bits) + dst[keep])
+    keys = np.concatenate(keys)
+    keys.sort()
+    # the bad cells a box overlaps become one edge
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    slot = keys >> dst_bits
+    order = (*map(p.ids.__getitem__, safe.tolist()), BAD_STATE)
+    return Nfa._from_edges(order, m.actions, slot, keys - (slot << dst_bits),
+                           frozenset({initial_cell}))
 
 
 def prune(nfa: Nfa, initial: int) -> tuple[Nfa, tuple[PruneEvent, ...]]:
@@ -132,65 +140,85 @@ def prune(nfa: Nfa, initial: int) -> tuple[Nfa, tuple[PruneEvent, ...]]:
     therefore all survive.  Bad-leading actions go first (states ascending,
     actions in alphabet order).  States without enabled actions are then
     deleted, in ascending order and after them in the order they lose their
-    last action; each deletion disables the actions into it, found through a
-    predecessor index, so the run is linear in the edges.  Every event is
+    last action; each deletion disables the actions into it (in alphabet
+    order, then ascending source), found through a predecessor table over
+    the edge arrays, so the run is linear in the edges.  Every event is
     logged.  Deleting the initial state raises
     :class:`InitialCellPrunedError`.
     """
     if initial not in nfa.states:
         raise ValueError(f"initial state {initial!r} not in the automaton")
-    live = sorted((q for q in nfa.states if q != BAD_STATE), key=_state_key)
-    enabled = {q: nfa.enabled(q) for q in live}
-    events: list[PruneEvent] = []
-    disabled = set()
-    left = {q: len(acts) for q, acts in enabled.items()}
-
-    def disable(q, a, reason):
-        disabled.add((q, a))
-        left[q] -= 1
-        events.append(PruneEvent("disable", q, a, reason))
-
-    for q in live:
-        for a in enabled[q]:
-            if BAD_STATE in nfa.delta[(q, a)]:
-                disable(q, a, "reaches the bad region")
-    queue = deque(q for q in live if not left[q])
-    # the (state, action) keys of nfa.delta into each state, built once a
-    # state goes; the keys are shared, not copied
-    preds: dict = {}
+    order, alphabet, dst = nfa.order, nfa.alphabet, nfa.dst
+    n, k = len(order), len(alphabet)
+    live = np.array([q != BAD_STATE for q in order], dtype=bool)
+    # ``bad`` is never live, so its own slots count as disabled
+    disabled = ~live.repeat(k)
+    per_slot = np.diff(nfa.offsets)
+    slot = np.repeat(np.arange(n * k), per_slot)  # each edge's, ascending
+    # a slot holds each target once, so the live slots leading to ``bad``
+    # are distinct and ascending
+    to_bad = slot[~disabled[slot] & ~live[dst]]
+    events = [PruneEvent("disable", order[s // k], alphabet[s % k], "reaches the bad region")
+              for s in to_bad.tolist()]
+    disabled[to_bad] = True
+    left = (~disabled & (per_slot > 0)).reshape(n, k).sum(axis=1)
+    queue = deque(np.flatnonzero(live & (left == 0)).tolist())
     if queue:
-        for key, targets in nfa.delta.items():
-            if key[0] in left:
-                for t in targets:
-                    preds.setdefault(t, []).append(key)
+        _delete(nfa, slot, disabled, left, queue, events, initial)
+
+    # every surviving action's targets are surviving states; a surviving
+    # state keeps all its slots, renumbered
+    kept = left > 0
+    edge = ~disabled[slot]
+    new_slot = np.cumsum(kept.repeat(k)) - 1
+    pruned = Nfa._from_edges(
+        tuple(compress(order, kept.tolist())), alphabet,
+        new_slot[slot[edge]], (np.cumsum(kept) - 1)[dst[edge]], frozenset({initial}),
+    )
+    return pruned, tuple(events)
+
+
+def _delete(nfa: Nfa, slot, disabled, left, queue: deque, events: list, initial) -> None:
+    """The deletion cascade of :func:`prune`: delete the states in ``queue``
+    and every state that loses its last enabled action on the way, logging
+    each event and updating ``disabled`` (per slot) and ``left`` (enabled
+    actions per state) in place.  The actions into a deleted state are
+    found through a predecessor table, the edges' (action, source) pairs
+    sorted by target: those into state t are ``preds[first[t]:first[t +
+    1]]``, as ``action * n + source``, so in alphabet order, then ascending
+    source."""
+    order, alphabet, dst = nfa.order, nfa.alphabet, nfa.dst
+    n, k = len(order), len(alphabet)
+    bits = (n * k).bit_length()
+    preds = slot % k
+    preds *= n
+    preds += slot // k
+    preds |= dst << bits
+    preds.sort()
+    preds &= (1 << bits) - 1
+    first = np.concatenate([[0], np.cumsum(np.bincount(dst, minlength=n))]).tolist()
+    flags, counts = bytearray(disabled), left.tolist()
     while queue:
-        q = queue.popleft()
+        t = queue.popleft()
+        q = order[t]
         events.append(PruneEvent("delete", q, None, "no enabled actions left"))
         if q == initial:
             raise InitialCellPrunedError(
                 f"initial abstraction state {initial} was pruned; " + _FINER_PARTITION_HINT,
                 events=tuple(events),
             )
-        for p_, a in preds.get(q, ()):
-            if (p_, a) in disabled:
+        for pred in preds[first[t]:first[t + 1]].tolist():
+            a, i = divmod(pred, n)
+            if flags[i * k + a]:
                 continue
-            disable(p_, a, f"leads to deleted state {q}")
-            if not left[p_]:
-                queue.append(p_)
-
-    # every surviving action's targets are surviving states, so the parts
-    # need no re-validation
-    pruned = Nfa._trusted(
-        states=frozenset(q for q in live if left[q]),
-        alphabet=nfa.alphabet,
-        delta={
-            (q, a): nfa.delta[(q, a)]
-            for q in live
-            for a in enabled[q] if (q, a) not in disabled
-        },
-        initial=frozenset({initial}),
-    )
-    return pruned, tuple(events)
+            flags[i * k + a] = True
+            counts[i] -= 1
+            events.append(PruneEvent("disable", order[i], alphabet[a],
+                                     f"leads to deleted state {q}"))
+            if not counts[i]:
+                queue.append(i)
+    disabled[:] = np.frombuffer(flags, dtype=bool)
+    left[:] = counts
 
 
 def abstract(m: Mdp, p: Partition, overlap_mode: str = "strict") -> AbstractionResult:
@@ -213,25 +241,26 @@ def nfa_to_dot(nfa: Nfa, name: str = "T") -> str:
     dashed for the second), ``bad`` as a double circle, initial states
     marked by an arrow from a point node."""
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle];']
-    for q in nfa.sorted_states():
+    names = [_node_name(q) for q in nfa.order]
+    for q, node in zip(nfa.order, names):
         shape = "doublecircle" if q == BAD_STATE else "circle"
-        lines.append(f'  "{_node_name(q)}" [shape={shape}];')
+        lines.append(f'  "{node}" [shape={shape}];')
     for i, q in enumerate(sorted(nfa.initial, key=_state_key)):
         lines.append(f"  __init{i} [shape=point];")
         lines.append(f'  __init{i} -> "{_node_name(q)}";')
-    for q, a, q2 in nfa.sorted_edges():
-        style = _EDGE_STYLES[nfa.alphabet.index(a) % len(_EDGE_STYLES)]
-        lines.append(
-            f'  "{_node_name(q)}" -> "{_node_name(q2)}" [label="{a}", style={style}];'
-        )
+    labels = [f'[label="{a}", style={_EDGE_STYLES[k % len(_EDGE_STYLES)]}]'
+              for k, a in enumerate(nfa.alphabet)]
+    lines += [f'  "{names[s]}" -> "{names[d]}" {labels[a]};'
+              for s, a, d in zip(*(x.tolist() for x in nfa.edge_arrays()))]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def edges_to_csv(nfa: Nfa) -> str:
+    names = [str(q) for q in nfa.order]
     lines = ["src,action,dst"]
-    for q, a, q2 in nfa.sorted_edges():
-        lines.append(f"{q},{a},{q2}")
+    lines += [f"{names[s]},{nfa.alphabet[a]},{names[d]}"
+              for s, a, d in zip(*(x.tolist() for x in nfa.edge_arrays()))]
     return "\n".join(lines) + "\n"
 
 

@@ -5,11 +5,12 @@ stderr carry logs only (except ``validate``, whose report is the output).
 Identical arguments and seed produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 model validation failure, 2 I/O or syntax error
-(including a one-state model where a belief abstraction is needed, and a
-negative ``--steps``), 3 the initial abstraction state was pruned (or could
-not be refined), 4 restriction left an initial MDP state without actions,
-5 the simulated trace violated the opacity threshold, 6 the edit engine had
-no output for the edited stream (its belief left the edit automaton).
+(including a one-state model where a belief abstraction is needed, a
+negative ``--steps``, and widths giving a grid too large to allocate), 3 the
+initial abstraction state was pruned (or could not be refined), 4
+restriction left an initial MDP state without actions, 5 the simulated
+trace violated the opacity threshold, 6 the edit engine had no output for
+the edited stream (its belief left the edit automaton).
 """
 
 from __future__ import annotations
@@ -97,7 +98,10 @@ def _prepare_partition(args, m):
     if m.n < 2:
         raise ModelFormatError("belief abstraction needs at least two states")
     widths = _parse_widths(args.widths, m.n - 1)
-    p = build_grid(widths[0] if len(widths) == 1 else widths, m)
+    try:
+        p = build_grid(widths[0] if len(widths) == 1 else widths, m)
+    except ValueError as exc:  # a grid too large to allocate
+        raise ModelFormatError(str(exc)) from None
     x0 = reduce_belief(m.pi0)
     if p.cell(locate_cell(x0, p)).status == BAD:
         log.info("initial belief in a bad cell; refining the partition")

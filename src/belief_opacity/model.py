@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -137,50 +139,138 @@ def _state_key(q):
     return (0, q)
 
 
-@dataclass(frozen=True)
 class Nfa:
-    """Nondeterministic finite automaton over an ordered action alphabet."""
+    """Nondeterministic finite automaton over an ordered action alphabet.
 
-    states: frozenset
-    alphabet: tuple[str, ...]
-    delta: dict
-    initial: frozenset
+    The transitions are kept once, as flat int arrays over ``order``, the
+    tuple of states sorted by :func:`_state_key`: the targets of state
+    ``i`` under the ``k``-th action are ``dst[offsets[s]:offsets[s + 1]]``,
+    ascending, for the slot ``s = i * K + k`` with K = |alphabet| (the
+    post-index layout of SCOTS).  So the edges are sorted by (source,
+    action, target), and :meth:`edge_arrays` gives them as three arrays.
+    ``states`` and ``delta``, the read-only mapping (state, action) ->
+    frozenset of targets keyed in alphabet order, then ascending state, are
+    derived on first use.
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        clean = {}
-        for (q, a), targets in self.delta.items():
+    The constructor takes ``delta`` as such a mapping, drops empty targets
+    and rejects unknown states and symbols; automata whose arrays are
+    already consistent (the abstraction's) skip it through
+    :meth:`_from_edges`.
+    """
+
+    def __init__(self, states, alphabet, delta, initial):
+        states, alphabet, initial = frozenset(states), tuple(alphabet), frozenset(initial)
+        order = tuple(sorted(states, key=_state_key))
+        index = dict(zip(order, range(len(order))))
+        symbol = dict(zip(alphabet, range(len(alphabet))))
+        edges = []
+        for (q, a), targets in delta.items():
             targets = frozenset(targets)
             if not targets:
                 continue
-            if q not in self.states or not targets <= self.states:
+            if q not in states or not targets <= states:
                 raise ValueError(f"transition ({q!r}, {a!r}) references unknown states")
-            if a not in self.alphabet:
+            if a not in symbol:
                 raise ValueError(f"transition symbol {a!r} not in alphabet")
-            clean[(q, a)] = targets
-        object.__setattr__(self, "delta", clean)
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        if not self.initial <= self.states:
+            slot = index[q] * len(alphabet) + symbol[a]
+            edges += [(slot, index[t]) for t in targets]
+        if not initial <= states:
             raise ValueError("initial states must be a subset of the state set")
+        slot, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        by = np.lexsort((dst, slot))
+        self._set(order, alphabet, slot[by], dst[by], initial)
 
     @classmethod
-    def _trusted(cls, states: frozenset, alphabet: tuple, delta: dict, initial: frozenset):
-        """Build without the checks of ``__post_init__``, for callers whose
-        parts are already of the final types and consistent: frozensets of
-        known states as non-empty transition targets, a tuple alphabet."""
+    def _from_edges(cls, order: tuple, alphabet: tuple, slot, dst, initial: frozenset):
+        """Build without the constructor's checks, from each edge's slot and
+        target index over ``order``, a ``_state_key``-sorted tuple of states,
+        sorted by (slot, target)."""
         nfa = object.__new__(cls)
-        for name, value in (
-            ("states", states), ("alphabet", alphabet), ("delta", delta), ("initial", initial)
-        ):
-            object.__setattr__(nfa, name, value)
+        nfa._set(order, alphabet, slot, dst, initial)
         return nfa
 
+    def _set(self, order, alphabet, slot, dst, initial):
+        offsets = np.zeros(len(order) * len(alphabet) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(slot, minlength=len(offsets) - 1), out=offsets[1:])
+        dst = np.asarray(dst, dtype=np.intp)
+        offsets.flags.writeable = dst.flags.writeable = False
+        for name, value in (("order", order), ("alphabet", alphabet), ("offsets", offsets),
+                            ("dst", dst), ("initial", initial)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Nfa):
+            return NotImplemented
+        return (
+            self.order == other.order
+            and self.alphabet == other.alphabet
+            and self.initial == other.initial
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.dst, other.dst)
+        )
+
+    __hash__ = None
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every edge's source, action and target index, sorted by (source,
+        action, target)."""
+        n, k = len(self.order), len(self.alphabet)
+        per_slot = np.diff(self.offsets)
+        src = np.repeat(np.arange(n), per_slot.reshape(n, k).sum(axis=1))
+        act = np.repeat(np.tile(np.arange(k), n), per_slot)
+        return src, act, self.dst
+
+    @cached_property
+    def states(self) -> frozenset:
+        return frozenset(self.order)
+
+    @cached_property
+    def _index(self) -> dict:
+        return dict(zip(self.order, range(len(self.order))))
+
+    @cached_property
+    def _targets(self) -> tuple[list, list]:
+        """``offsets`` as a list and every edge's target state."""
+        return self.offsets.tolist(), [self.order[j] for j in self.dst.tolist()]
+
+    @cached_property
+    def delta(self) -> Mapping:
+        n, k = len(self.order), len(self.alphabet)
+        offsets, targets = self._targets
+        view = {}
+        # the non-empty slots, in alphabet order, then ascending state
+        for key in np.flatnonzero(np.diff(self.offsets).reshape(n, k).T).tolist():
+            a, i = divmod(key, n)
+            s = i * k + a
+            view[(self.order[i], self.alphabet[a])] = frozenset(targets[offsets[s]:offsets[s + 1]])
+        return MappingProxyType(view)
+
+    @cached_property
+    def _enabled(self) -> list[tuple[str, ...]]:
+        """Per state, in ``order``, its enabled actions in alphabet order."""
+        k = len(self.alphabet)
+        has = (np.diff(self.offsets) > 0).reshape(len(self.order), k)
+        # each state's enabled actions as a bitmask over the alphabet
+        bits = np.array([1 << j for j in range(k)], dtype=object if k > 62 else np.int64)
+        masks = (has @ bits).tolist()
+        actions = {c: tuple(compress(self.alphabet, (c >> j & 1 for j in range(k))))
+                   for c in set(masks)}
+        return [actions[c] for c in masks]
+
     def successors(self, q, a: str) -> frozenset:
-        return self.delta.get((q, a), frozenset())
+        i = self._index.get(q)
+        if i is None or a not in self.alphabet:
+            return frozenset()
+        s = i * len(self.alphabet) + self.alphabet.index(a)
+        offsets, targets = self._targets
+        return frozenset(targets[offsets[s]:offsets[s + 1]])
 
     def enabled(self, q) -> tuple[str, ...]:
-        return tuple(a for a in self.alphabet if (q, a) in self.delta)
+        i = self._index.get(q)
+        return () if i is None else self._enabled[i]
 
     def accepts(self, word: Iterable[str]) -> bool:
         """Whether the word can be generated from some initial state."""
@@ -204,19 +294,15 @@ class Nfa:
         return frozenset(seen)
 
     def sorted_states(self) -> list:
-        return sorted(self.states, key=_state_key)
+        return list(self.order)
 
     def sorted_edges(self) -> list[tuple]:
-        """All (source, action, target) triples in a deterministic order."""
-        out = []
-        for q in self.sorted_states():
-            for i, a in enumerate(self.alphabet):
-                for q2 in sorted(self.successors(q, a), key=_state_key):
-                    out.append((q, a, q2))
-        return out
+        """All (source, action, target) triples, by source, action, target."""
+        o, al = self.order, self.alphabet
+        return [(o[s], al[a], o[d]) for s, a, d in zip(*(x.tolist() for x in self.edge_arrays()))]
 
     def transition_count(self) -> int:
-        return sum(len(t) for t in self.delta.values())
+        return len(self.dst)
 
 
 @dataclass(frozen=True)

@@ -156,12 +156,21 @@ def classify_cell(box: IntervalBox, m: Mdp) -> str:
     return _classify(box.lo[None, :], box.hi[None, :], m)[0]
 
 
-def _axis_edges(width: float) -> np.ndarray:
+MAX_GRID_CELLS = 5_000_000  # the cube of an N = 6 model at width 0.05 has 3.2 M
+
+
+def _axis_count(width: float) -> float:
+    """Cells along an axis of this width (``inf`` when 1 / width overflows)."""
     if not math.isfinite(width) or width <= 0:
         raise ValueError(f"grid widths must be positive and finite, got {width}")
     inv = 1.0 / width
+    if not math.isfinite(inv):
+        return math.inf
     count = round(inv) if abs(inv - round(inv)) <= 1e-9 * inv else math.ceil(inv)
-    count = max(count, 1)
+    return max(count, 1)
+
+
+def _axis_edges(width: float, count: int) -> np.ndarray:
     edges = [min(i * width, 1.0) for i in range(count + 1)]
     edges[-1] = 1.0
     return np.array(edges)
@@ -173,7 +182,8 @@ def build_grid(widths, m: Mdp) -> Partition:
     ``widths`` is one positive, finite value per reduced dimension (a scalar
     is broadcast).  A width that does not divide 1 gets a truncated final
     cell.  Excluded cells are kept in the listing for plotting but never
-    become abstraction states.
+    become abstraction states.  A grid of more than :data:`MAX_GRID_CELLS`
+    cells is refused before anything is allocated.
     """
     dim = m.n - 1
     if np.isscalar(widths):
@@ -181,7 +191,12 @@ def build_grid(widths, m: Mdp) -> Partition:
     widths = [float(w) for w in widths]
     if len(widths) != dim:
         raise ValueError(f"expected {dim} grid widths, got {len(widths)}")
-    edges = [_axis_edges(w) for w in widths]
+    counts = [_axis_count(w) for w in widths]
+    if math.prod(counts) > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid widths {widths} give more than {MAX_GRID_CELLS} cells; use larger widths"
+        )
+    edges = [_axis_edges(w, c) for w, c in zip(widths, counts)]
     # row-major over the grid: the last axis varies fastest
     lo = np.stack([g.ravel() for g in np.meshgrid(*[e[:-1] for e in edges], indexing="ij")], 1)
     hi = np.stack([g.ravel() for g in np.meshgrid(*[e[1:] for e in edges], indexing="ij")], 1)

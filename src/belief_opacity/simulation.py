@@ -38,8 +38,7 @@ class TraceRecord:
     cell_id: int | None
 
 
-def _record(m: Mdp, p: Partition | None, step: int, real, output, belief) -> TraceRecord:
-    cell = locate_cell(reduce_belief(belief), p) if p is not None else None
+def _record(m: Mdp, step: int, real, output, belief, cell: int | None) -> TraceRecord:
     return TraceRecord(
         step=step,
         real_action=real,
@@ -70,12 +69,16 @@ def simulate(m: Mdp, actions, steps: int, p: Partition | None = None) -> list[Tr
     initial belief; cells are annotated when a partition is given.
     """
     source = _action_source(actions, steps)
+
+    def cell(belief):
+        return locate_cell(reduce_belief(belief), p) if p is not None else None
+
     belief = np.array(m.pi0, dtype=float)
-    trace = [_record(m, p, 0, None, None, belief)]
+    trace = [_record(m, 0, None, None, belief, cell(belief))]
     for t in range(steps):
         a = source(t, belief)
         belief = belief_update(belief, a, m)
-        trace.append(_record(m, p, t + 1, a, a, belief))
+        trace.append(_record(m, t + 1, a, a, belief, cell(belief)))
     return trace
 
 
@@ -92,15 +95,15 @@ def simulate_edited(
 
     Real actions come from ``actions`` (same contract as :func:`simulate`);
     each is rewritten by a fresh :class:`EditEngine` and the recorded belief
-    is the one induced by the output actions.
+    is the one induced by the output actions; its cell is the engine's.
     """
     source = _action_source(actions, steps)
     engine = EditEngine(m, p, ea, strategy=strategy, seed=seed)
-    trace = [_record(m, p, 0, None, None, engine.observer_belief)]
+    trace = [_record(m, 0, None, None, engine.observer_belief, engine.current_cell)]
     for t in range(steps):
         real = source(t, engine.observer_belief)
         out = engine.step(real)
-        trace.append(_record(m, p, t + 1, real, out, engine.observer_belief))
+        trace.append(_record(m, t + 1, real, out, engine.observer_belief, engine.current_cell))
     return trace
 
 

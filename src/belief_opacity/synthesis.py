@@ -16,6 +16,14 @@ function reports some action enabled at the current abstract belief state,
 and the observer belief is advanced with the output action, never the real
 one.  The real action constrains nothing, so the edit automaton is a view of
 the pruned abstraction rather than a copy of its edges per real action.
+
+Both routes read the pruned automaton's edge arrays (see
+:class:`~.model.Nfa`): the fixpoint R walks ``offsets`` and ``dst`` by
+state index, the edit view's outputs come from the per-state enabled
+actions, and :func:`edit_to_dot` groups the sorted edges by source.  Only
+:meth:`EditEngine.step`'s check that the observer's new cell is in
+delta(q, output) reads the derived ``delta`` mapping, one hashed lookup per
+step.
 """
 
 from __future__ import annotations
@@ -147,34 +155,45 @@ def restrict_actions(m: Mdp, pruned_t: Nfa) -> RestrictedMdp:
         raise ValueError("the abstraction's alphabet must equal the model's actions")
     sup = _supports(m)
     bit = {a: 1 << k for k, a in enumerate(m.actions)}
-    # the pruned automaton's edges and enabled actions (as bitmasks) per state
-    edges: dict = {}
-    enabled_t: dict = {}
-    for (q, a), targets in pruned_t.delta.items():
-        edges.setdefault(q, []).append((a, targets))
-        enabled_t[q] = enabled_t.get(q, 0) | bit[a]
+    k = len(pruned_t.alphabet)
+    sups = [sup[a] for a in pruned_t.alphabet]
+    bits = [bit[a] for a in pruned_t.alphabet]
+    offsets, dst = pruned_t.offsets.tolist(), memoryview(pruned_t.dst)
+    posts = [{} for _ in sups]  # per action, post_a of each mask met so far
 
-    # reach[q]: the bitmask R[q]; a state is pushed each time R[q] grows
+    # reach[i]: the bitmask R[q] of the i-th state; a state is pushed each
+    # time R[q] grows
     init = sum(1 << i for i in np.flatnonzero(m.pi0 > 0.0).tolist())
-    reach = dict.fromkeys(pruned_t.initial, init) if init else {}
-    work = list(reach)
+    reach = [0] * len(pruned_t.order)
+    work = [pruned_t.order.index(q) for q in pruned_t.initial] if init else []
+    for i in work:
+        reach[i] = init
     while work:
-        q = work.pop()
-        mask = reach[q]
-        for a, targets in edges.get(q, ()):
-            nxt = 0  # post_a(R[q])
-            for j in _bits(mask):
-                nxt |= sup[a][j]
-            for q2 in targets:
-                old = reach.get(q2, 0)
+        i = work.pop()
+        mask = reach[i]
+        for a_k in range(k):
+            first, last = offsets[i * k + a_k], offsets[i * k + a_k + 1]
+            if first == last:
+                continue
+            nxt = posts[a_k].get(mask)  # post_a(R[q])
+            if nxt is None:
+                nxt = 0
+                for j in _bits(mask):
+                    nxt |= sups[a_k][j]
+                posts[a_k][mask] = nxt
+            for i2 in dst[first:last]:
+                old = reach[i2]
                 if old | nxt != old:
-                    reach[q2] = old | nxt
-                    work.append(q2)
+                    reach[i2] = old | nxt
+                    work.append(i2)
 
     # inter[j]: the actions enabled at every q with state j in R[q]
     inter = [None] * m.n
-    for q, mask in reach.items():
-        acts = enabled_t.get(q, 0)
+    for i, mask in enumerate(reach):
+        if not mask:
+            continue
+        acts = sum(bits[a_k] for a_k in range(k)
+                   if offsets[i * k + a_k] < offsets[i * k + a_k + 1])
         for j in _bits(mask):
             inter[j] = acts if inter[j] is None else inter[j] & acts
 
@@ -324,12 +343,12 @@ class EditAutomaton:
     @property
     def edges(self) -> frozenset:
         """Every rewrite (q, actual, output, q'), |alphabet| per pruned edge."""
-        return frozenset((q, actual, o, q2) for (q, o), targets in self.pruned.delta.items()
-                         for q2 in targets for actual in self.alphabet)
+        return frozenset((q, actual, o, q2) for q, o, q2 in self.pruned.sorted_edges()
+                         for actual in self.alphabet)
 
     @cached_property
     def _enabled(self) -> dict:
-        return {q: self.pruned.enabled(q) for q in self.pruned.states}
+        return dict(zip(self.pruned.order, self.pruned._enabled))
 
     def outputs(self, q, actual: str) -> tuple[str, ...]:
         """Outputs available at q for the given real action, in action order."""
@@ -374,6 +393,8 @@ class EditEngine:
         self.automaton = automaton
         self.strategy = strategy
         self.rng = np.random.default_rng(seed)
+        # delta(q, output), looked up once per step
+        self._moves = automaton.pruned.delta
         self.observer_belief = np.array(m.pi0, dtype=float)
         self.current_cell = locate_cell(reduce_belief(self.observer_belief), p)
         if self.current_cell not in automaton.states:
@@ -396,7 +417,7 @@ class EditEngine:
         self.observer_belief = belief_update(self.observer_belief, out, self.mdp)
         cell = locate_cell(self.observer_belief[:-1], self.partition)
         # every output is enabled at q, so delta has the key
-        if cell not in self.automaton.pruned.delta[(q, out)]:
+        if cell not in self._moves[(q, out)]:
             raise EditUndefinedError(
                 f"observer belief moved to cell {cell}, which the edit automaton does not "
                 f"cover from cell {q} on {out!r}"
@@ -484,22 +505,21 @@ def verify_edit_requirements(
 def edit_to_dot(ea: EditAutomaton, name: str = "Tf") -> str:
     """Graphviz rendering with "actual/output" edge labels; the style
     follows the output action."""
-    order = {a: i for i, a in enumerate(ea.alphabet)}
+    t = ea.pruned
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    for q in ea.pruned.sorted_states():
-        lines.append(f'  "{q}" [shape=circle];')
+    lines += [f'  "{q}" [shape=circle];' for q in t.order]
     lines.append("  __init [shape=point];")
     lines.append(f'  __init -> "{ea.initial}";')
     # the rewrites in (q, actual, output, q') order: per source, its edges
     # once for every real action
-    for q, out_edges in itertools.groupby(ea.pruned.sorted_edges(), key=lambda e: e[0]):
-        out_edges = list(out_edges)
+    src, act, dst = (x.tolist() for x in t.edge_arrays())
+    heads = [f'  "{t.order[s]}" -> "{t.order[d]}" [label="' for s, d in zip(src, dst)]
+    tails = [f'/{o}", style={_EDGE_STYLES[k % len(_EDGE_STYLES)]}];'
+             for k, o in enumerate(ea.alphabet)]
+    bounds = t.offsets[::len(ea.alphabet)].tolist()
+    for first, last in zip(bounds, bounds[1:]):
         for actual in ea.alphabet:
-            for _, output, q2 in out_edges:
-                style = _EDGE_STYLES[order[output] % len(_EDGE_STYLES)]
-                lines.append(
-                    f'  "{q}" -> "{q2}" [label="{actual}/{output}", style={style}];'
-                )
+            lines += [h + actual + tails[o] for h, o in zip(heads[first:last], act[first:last])]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,4 @@
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,149 @@ class TestOverlappingCells:
         assert list(zip(boxes.tolist(), rows.tolist())) == expected
         halves = {p.row(cid) for cids in p.splits.values() for cid in cids}
         assert halves & set(rows.tolist())
+
+
+def dict_build(m, p, overlap_mode):
+    """The abstraction's transitions built as a dict of frozensets, the way
+    they were stored before the edge arrays: keyed in alphabet order, then
+    ascending cell."""
+    status = np.array(p.status)
+    target = np.where(status == bo.BAD, bo.BAD_STATE, np.array(p.ids, dtype=object))
+    usable = status != bo.EXCLUDED
+    safe = np.flatnonzero(status == bo.SAFE).tolist()
+    delta = {}
+    for a in m.actions:
+        rlo, rhi = bo.reach_boxes(bo.decomposition(m, a), p.lo[safe], p.hi[safe])
+        boxes, rows = bo.overlapping_cells(p, rlo, rhi, overlap_mode)
+        keep = usable[rows]
+        targets = target[rows[keep]].tolist()
+        ends = np.cumsum(np.bincount(boxes[keep], minlength=len(safe))).tolist()
+        for row, first, last in zip(safe, [0, *ends], ends):
+            if first < last:
+                delta[(p.ids[row], a)] = frozenset(targets[first:last])
+    return delta
+
+
+def dict_prune(states, alphabet, delta, initial):
+    """Pruning over that dict, as it ran before the edge arrays: returns the
+    surviving states, their transitions and the events, or raises
+    InitialCellPrunedError carrying the events so far."""
+    key = lambda q: (isinstance(q, str), q)
+    live = sorted((q for q in states if q != bo.BAD_STATE), key=key)
+    enabled = {q: tuple(a for a in alphabet if (q, a) in delta) for q in live}
+    events, disabled = [], set()
+    left = {q: len(acts) for q, acts in enabled.items()}
+
+    def disable(q, a, reason):
+        disabled.add((q, a))
+        left[q] -= 1
+        events.append(bo.PruneEvent("disable", q, a, reason))
+
+    for q in live:
+        for a in enabled[q]:
+            if bo.BAD_STATE in delta[(q, a)]:
+                disable(q, a, "reaches the bad region")
+    queue = deque(q for q in live if not left[q])
+    preds = {}
+    for k, targets in delta.items():
+        if k[0] in left:
+            for t in targets:
+                preds.setdefault(t, []).append(k)
+    while queue:
+        q = queue.popleft()
+        events.append(bo.PruneEvent("delete", q, None, "no enabled actions left"))
+        if q == initial:
+            raise bo.InitialCellPrunedError("pruned", events=tuple(events))
+        for p_, a in preds.get(q, ()):
+            if (p_, a) not in disabled:
+                disable(p_, a, f"leads to deleted state {q}")
+                if not left[p_]:
+                    queue.append(p_)
+    kept = {(q, a): delta[(q, a)] for q in live for a in enabled[q] if (q, a) not in disabled}
+    return {q for q in live if left[q]}, kept, tuple(events)
+
+
+def dict_restrict(m, delta, initial):
+    """The per-cell reachable-state fixpoint over that dict, as it ran before
+    the edge arrays: (allowed, vacuous)."""
+    sup = {a: [{i for i in range(m.n) if m.trans[a][i, j] > 0} for j in range(m.n)]
+           for a in m.actions}
+    reach = {q: {j for j in range(m.n) if m.pi0[j] > 0} for q in initial}
+    work = list(reach)
+    while work:
+        q = work.pop()
+        for (q1, a), targets in delta.items():
+            if q1 != q:
+                continue
+            nxt = set().union(*(sup[a][j] for j in reach[q]))
+            for q2 in targets:
+                if not nxt <= reach.setdefault(q2, set()):
+                    reach[q2] |= nxt
+                    work.append(q2)
+    inter = {}
+    for q, states in reach.items():
+        acts = {a for a in m.actions if (q, a) in delta}
+        for j in states:
+            inter[j] = inter.get(j, acts) & acts
+    allowed = {s: tuple(a for a in m.actions if a in inter[j] and sup[a][j]) if j in inter
+               else m.actions for j, s in enumerate(m.states)}
+    return allowed, {s for j, s in enumerate(m.states) if j not in inter}
+
+
+def dict_sorted_edges(delta, states, alphabet):
+    key = lambda q: (isinstance(q, str), q)
+    return [(q, a, t) for q in sorted(states, key=key) for a in alphabet
+            for t in sorted(delta.get((q, a), ()), key=key)]
+
+
+def check_against_the_dict_algorithms(m, p, overlap_mode):
+    nfa = bo.build_abstraction(m, p, overlap_mode=overlap_mode)
+    delta = dict_build(m, p, overlap_mode)
+    assert list(nfa.delta.items()) == list(delta.items())
+    assert nfa.sorted_edges() == dict_sorted_edges(delta, nfa.states, m.actions)
+    initial = next(iter(nfa.initial))
+    try:
+        states, kept, events = dict_prune(nfa.states, m.actions, delta, initial)
+    except bo.InitialCellPrunedError as exc:
+        with pytest.raises(bo.InitialCellPrunedError) as got:
+            bo.prune(nfa, initial)
+        assert got.value.events == exc.events
+        return "pruned"
+    pruned, log = bo.prune(nfa, initial)
+    assert log == events
+    assert pruned.states == states and dict(pruned.delta) == kept
+    assert list(pruned.delta) == sorted(kept, key=lambda k: (m.actions.index(k[1]), k[0]))
+    assert pruned.sorted_edges() == dict_sorted_edges(kept, states, m.actions)
+    r = bo.restrict_actions(m, pruned)
+    assert (r.allowed, r.vacuous) == dict_restrict(m, kept, pruned.initial)
+    return "deleted" if any(e.kind == "delete" for e in log) else "kept"
+
+
+class TestEdgeArraysMatchTheDictAlgorithms:
+    @settings(max_examples=120, deadline=None)
+    @given(abstraction_cases())
+    def test_build_prune_and_restrict(self, case):
+        m, p, overlap_mode = case
+        try:
+            check_against_the_dict_algorithms(m, p, overlap_mode)
+        except bo.BadInitialCellError:
+            assume(False)
+
+    @pytest.mark.parametrize("overlap_mode", ["strict", "closed"])
+    def test_cascading_and_initial_pruning_models(self, mdp3, overlap_mode):
+        cascading = random_mdp(np.random.default_rng(911), 4, 2)
+        refined = replace(mdp3, pi0=np.array([0.5, 0.29, 0.21]))
+        coarse = bo.refine_initial(bo.build_grid(0.5, mdp3), bo.reduce_belief(mdp3.pi0), mdp3)
+        outcomes = [
+            check_against_the_dict_algorithms(cascading, bo.build_grid(0.1, cascading),
+                                              overlap_mode),
+            check_against_the_dict_algorithms(
+                refined, bo.refine_initial(bo.build_grid(0.02, refined),
+                                           bo.reduce_belief(refined.pi0), refined),
+                overlap_mode),
+            check_against_the_dict_algorithms(mdp3, coarse, overlap_mode),
+        ]
+        assert outcomes == ["deleted", "kept", "pruned"]
 
 
 class TestBoxesOverlap:

@@ -1,9 +1,12 @@
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from belief_opacity import cli
+from belief_opacity import cli, partition
 from belief_opacity.cli import main
 from belief_opacity.synthesis import EditUndefinedError
 from conftest import BLOCKED_INITIAL_DOC, THREE_STATE_DOC
@@ -104,6 +107,20 @@ lambda: 0.9
         assert [r.getMessage() for r in caplog.records] == [message]
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("widths", ["1e-300", "1e-5", "5e-324"])
+    def test_grid_too_large_exits_two(self, model_file, tmp_path, capsys, caplog,
+                                      monkeypatch, widths):
+        def allocate(*args):
+            raise AssertionError("grid edges built before the size check")
+
+        monkeypatch.setattr(partition, "_axis_edges", allocate)
+        assert main(["abstract", "--model", model_file, "--widths", widths,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"grid widths [{float(widths)!r}, {float(widths)!r}] give more than 5000000 cells; "
+            "use larger widths"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_invalid_model_exits_one(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -244,6 +261,36 @@ class TestUsageErrors:
 
 
 class TestDeterminism:
+    def test_refined_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the refined reference model: its abstraction has sparse ids and
+        # ``bad``-containing transitions, whose frozensets iterate in
+        # hash-seed order
+        path = tmp_path / "refined.yaml"
+        path.write_text(THREE_STATE_DOC.replace("pi0: [0.3, 0.1, 0.6]", "pi0: [0.5, 0.29, 0.21]"))
+        common = ["--model", str(path), "--widths", "0.02"]
+        runs = {
+            "abstract": ["abstract", *common],
+            "edit": ["synthesize", *common, "--mode", "edit"],
+            "simulate": ["simulate", *common, "--edited", "--steps", "300",
+                         "--strategy", "uniform-random", "--seed", "5"],
+        }
+        src = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            files = {}
+            for name, argv in runs.items():
+                out = tmp_path / seed / name
+                subprocess.run([sys.executable, "-m", "belief_opacity", *argv, "--out", str(out)],
+                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                               check=True, capture_output=True)
+                files.update({f"{name}/{p.name}": p.read_bytes() for p in out.iterdir()})
+            outputs.append(files)
+        assert sorted(outputs[0]) == [
+            "abstract/abstraction.dot", "abstract/cells.csv", "abstract/edges.csv",
+            "abstract/log.txt", "abstract/partition.svg", "abstract/pruned.dot",
+            "edit/edit.dot", "simulate/trace.csv"]
+        assert outputs[0] == outputs[1]
+
     def test_abstract_twice_is_byte_identical(self, model_file, tmp_path):
         outs = []
         for name in ("r1", "r2"):

@@ -126,6 +126,73 @@ class TestSupportNfa:
             assert bo.mdp_to_nfa(m).transition_count() == positives
 
 
+class TestNfa:
+    def make(self, initial=(0,)):
+        delta = {(2, "b"): {0, "bad"}, (0, "a"): {1}, (1, "b"): set(), (0, "b"): {2, 0}}
+        return bo.Nfa(states=frozenset({0, 1, 2, "bad"}), alphabet=("a", "b"), delta=delta,
+                      initial=frozenset(initial))
+
+    def test_stored_as_sorted_edge_arrays(self):
+        nfa = self.make()
+        assert nfa.order == (0, 1, 2, "bad")
+        src, act, dst = nfa.edge_arrays()
+        assert list(zip(src.tolist(), act.tolist(), dst.tolist())) == [
+            (0, 0, 1), (0, 1, 0), (0, 1, 2), (2, 1, 0), (2, 1, 3)]
+        assert nfa.offsets.tolist() == [0, 1, 3, 3, 3, 3, 5, 5, 5]
+        assert nfa.sorted_edges() == [(0, "a", 1), (0, "b", 0), (0, "b", 2),
+                                      (2, "b", 0), (2, "b", "bad")]
+        assert nfa.transition_count() == 5
+
+    def test_delta_is_a_read_only_view_in_alphabet_then_state_order(self):
+        nfa = self.make()
+        assert list(nfa.delta.items()) == [((0, "a"), {1}), ((0, "b"), {0, 2}),
+                                           ((2, "b"), {0, "bad"})]
+        assert all(type(v) is frozenset for v in nfa.delta.values())
+        with pytest.raises(TypeError):
+            nfa.delta[(1, "a")] = frozenset({0})
+        with pytest.raises(AttributeError):
+            nfa.dst = None
+        assert not nfa.dst.flags.writeable and not nfa.offsets.flags.writeable
+
+    def test_readers(self):
+        nfa = self.make()
+        assert nfa.successors(0, "b") == {0, 2}
+        assert nfa.successors(1, "b") == frozenset()  # empty targets were dropped
+        assert nfa.successors("nope", "a") == nfa.successors(0, "z") == frozenset()
+        assert [nfa.enabled(q) for q in nfa.order] == [("a", "b"), (), ("b",), ()]
+        assert nfa.enabled("nope") == ()
+        assert nfa.reachable() == {0, 1, 2, "bad"}
+        assert nfa.accepts(["b", "b", "b"]) and not nfa.accepts(["a", "a"])
+
+    def test_equality_compares_the_parts(self):
+        nfa = self.make()
+        same = bo.Nfa(states=nfa.states, alphabet=nfa.alphabet, delta=nfa.delta,
+                      initial=nfa.initial)
+        assert same == nfa
+        assert self.make(initial=(2,)) != nfa
+        fewer = {k: v for k, v in nfa.delta.items() if k != (0, "a")}
+        assert bo.Nfa(states=nfa.states, alphabet=nfa.alphabet, delta=fewer,
+                      initial=nfa.initial) != nfa
+
+    @pytest.mark.parametrize("delta, message", [
+        ({(7, "a"): {0}}, "references unknown states"),
+        ({(0, "a"): {0, 7}}, "references unknown states"),
+        ({(0, "z"): {0}}, "symbol 'z' not in alphabet"),
+    ])
+    def test_rejects_unknown_states_and_symbols(self, delta, message):
+        with pytest.raises(ValueError, match=message):
+            bo.Nfa(states=frozenset({0, 1}), alphabet=("a",), delta=delta,
+                   initial=frozenset({0}))
+
+    def test_rejects_unknown_initial_states(self):
+        with pytest.raises(ValueError, match="initial"):
+            self.make(initial=(5,))
+
+    def test_empty_automaton(self):
+        nfa = bo.Nfa(states=frozenset(), alphabet=("a",), delta={}, initial=frozenset())
+        assert not nfa.delta and nfa.sorted_edges() == [] and nfa.transition_count() == 0
+
+
 class TestCanonicalReorder:
     def test_identity_when_last_state_non_secret(self):
         m = bo.parse_model(THREE_STATE_DOC)

@@ -57,6 +57,32 @@ class TestBuildGrid:
             bo.build_grid([0.2], mdp3)  # needs one width per dimension
 
 
+class TestGridCeiling:
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        # the ceiling must be checked before any edge list is built
+        def allocate(*args):
+            raise AssertionError("grid edges built before the size check")
+
+        monkeypatch.setattr(bo.partition, "_axis_edges", allocate)
+
+    @pytest.mark.parametrize("width", [1e-5, 1e-300, 5e-324])
+    def test_too_many_cells_rejected_before_allocating(self, mdp3, width):
+        with pytest.raises(ValueError, match="more than 5000000 cells"):
+            bo.build_grid(width, mdp3)
+
+    def test_one_fine_axis_is_enough(self, mdp3):
+        with pytest.raises(ValueError, match="more than"):
+            bo.build_grid([0.5, 1e-7], mdp3)
+
+    def test_ceiling_is_inclusive(self, mdp3, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(bo.partition, "MAX_GRID_CELLS", 100)
+        assert len(bo.build_grid(0.1, mdp3).ids) == 100
+        with pytest.raises(ValueError, match="more than 100 cells"):
+            bo.build_grid(1 / 11, mdp3)
+
+
 def reference_status(box, m):
     """The per-cell classification rule, written out: excluded when the lower
     corner sums to >= 1, bad when the upper corner's secret mass exceeds the

@@ -58,6 +58,20 @@ class TestSimulateEdited:
         assert [r.output_action for r in trace[1:]] == ["a1", "a1", "a1"]
         np.testing.assert_allclose(trace[1].belief, [0.12, 0.27, 0.61], atol=1e-12)
 
+    def test_cells_are_the_engine_cells(self, mdp3, partition3, abstraction3, monkeypatch):
+        # the engine has located every belief already; the trace reuses its cell
+        ea = bo.build_edit_automaton(abstraction3.pruned)
+        trace = bo.simulate_edited(mdp3, partition3, ea, bo.random_actions(mdp3, seed=2), 40)
+        for rec in trace:
+            assert rec.cell_id == bo.locate_cell(bo.reduce_belief(rec.belief), partition3)
+
+        def located_again(*args):
+            raise AssertionError("belief located a second time")
+
+        monkeypatch.setattr(bo.simulation, "locate_cell", located_again)
+        again = bo.simulate_edited(mdp3, partition3, ea, bo.random_actions(mdp3, seed=2), 40)
+        assert [r.cell_id for r in again] == [r.cell_id for r in trace]
+
     def test_never_violates_the_threshold(self, mdp3, partition3, abstraction3):
         ea = bo.build_edit_automaton(abstraction3.pruned)
         trace = bo.simulate_edited(
