@@ -200,8 +200,10 @@ def cmd_simulate(args) -> int:
         p = _prepare_partition(args, m)
         result = abstract(m, p, overlap_mode=args.overlap)
         ea = build_edit_automaton(result.pruned)
+        # the engine's draws are a stream of --seed independent of the
+        # random actions' own
         trace = simulate_edited(
-            m, p, ea, source, args.steps, strategy=args.strategy, seed=args.seed
+            m, p, ea, source, args.steps, strategy=args.strategy, seed=(args.seed, 1)
         )
     else:
         trace = simulate(m, source, args.steps)

@@ -103,6 +103,11 @@ class Partition:
         return dict(zip(self.ids, range(len(self.ids))))
 
     @cached_property
+    def _axes(self) -> tuple[tuple[tuple[float, ...], int], ...]:
+        """Per axis, the grid edges and the number of grid cells."""
+        return tuple((edges, len(edges) - 1) for edges in self.grid_edges)
+
+    @cached_property
     def _grid_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid cell g holds the rows ``cells[start[g]:start[g + 1]]``."""
         grid = np.array(self.ids)  # an unsplit grid cell's id is its index
@@ -226,8 +231,8 @@ def _flat(multi, p: Partition) -> int:
     return idx
 
 
-def locate_cell(x: np.ndarray, p: Partition) -> int:
-    """Id of the cell owning ``x``.
+def locate_cell(x, p: Partition) -> int:
+    """Id of the cell owning ``x``, an array or list of ``p.dim`` coordinates.
 
     Ownership follows the half-open convention (a point on a shared face
     belongs to the cell whose lower corner touches it), except that points
@@ -235,34 +240,51 @@ def locate_cell(x: np.ndarray, p: Partition) -> int:
     non-excluded cell.  Both rules collapse to one deterministic pick: among
     non-excluded cells whose closed box contains x, take the one with the
     lexicographically largest lower corner (then the largest id).
-
-    Only the cells of the at most 2^dim grid cells whose closed box holds x
-    are examined.  x's half-open grid cell, when unsplit and not excluded,
-    wins outright if no grid cell is split (every other candidate's lower
-    corner is componentwise no larger) or if x lies on none of its lower
-    faces (it is then the only candidate).
+    Coordinates within 1e-9 outside [0, 1] are clamped onto it; anything
+    further out, NaN included, raises ``ValueError``, as does a point in no
+    non-excluded cell.
     """
     xs = np.asarray(x, dtype=float).tolist()
     if len(xs) != p.dim:
         raise ValueError(f"expected a point of dimension {p.dim}")
-    for v in xs:
-        if v < -1e-9 or v > 1.0 + 1e-9:
-            raise ValueError(f"point {xs!r} outside the unit box")
-    xs = [min(max(v, 0.0), 1.0) for v in xs]
+    return _locate(xs, p)
 
+
+def _locate(xs: list, p: Partition) -> int:
+    """:func:`locate_cell` on a list of exactly ``p.dim`` floats.
+
+    The fast exit bisects each coordinate into the grid edges: x's half-open
+    grid cell, when unsplit and not excluded, wins outright if no grid cell
+    is split (every other candidate's lower corner is componentwise no
+    larger) or if x lies on none of its lower faces (it is then the only
+    candidate).  Every other point (one outside [0, 1] on some axis, NaN
+    included, in a split or excluded grid cell, or on a lower face of a
+    refined grid) goes to :func:`_search`.
+    """
     idx = 0
     on_face = False
-    for v, edges in zip(xs, p.grid_edges):
-        n_k = len(edges) - 1
+    for v, (edges, n_k) in zip(xs, p._axes):
+        if not 0.0 <= v <= 1.0:
+            return _search(xs, p)
         i = bisect_right(edges, v) - 1
         if i >= n_k:  # coordinate exactly 1.0 belongs to the last cell
             i = n_k - 1
-        on_face = on_face or (i > 0 and edges[i] == v)
+        if i and edges[i] == v:
+            on_face = True
         idx = idx * n_k + i
-    if idx not in p.splits and not (on_face and p.splits):
-        if p.status[p._rows[idx]] != EXCLUDED:
-            return idx
+    splits = p.splits
+    if not (splits and (on_face or idx in splits)) and p.status[p._rows[idx]] != EXCLUDED:
+        return idx
+    return _search(xs, p)
 
+
+def _search(xs: list, p: Partition) -> int:
+    """The ownership rule by search: validate and clamp ``xs``, then examine
+    the cells of the at most 2^dim grid cells whose closed box holds it."""
+    for v in xs:
+        if not -1e-9 <= v <= 1.0 + 1e-9:
+            raise ValueError(f"point {xs!r} outside the unit box")
+    xs = [min(max(v, 0.0), 1.0) for v in xs]
     axes = [
         (i - 1, i) if i > 0 and edges[i] == v else (i,)
         for i, v, edges in zip(_grid_index(xs, p), xs, p.grid_edges)

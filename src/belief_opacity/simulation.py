@@ -11,7 +11,7 @@ import numpy as np
 from .abstraction import BAD_STATE
 from .dynamics import AffineDecomposition, IntervalBox, belief_update, reduce_belief
 from .model import Mdp, Nfa
-from .partition import BAD, Partition, locate_cell
+from .partition import BAD, Partition, _locate, locate_cell
 from .synthesis import EditAutomaton, EditEngine
 
 __all__ = [
@@ -69,9 +69,11 @@ def simulate(m: Mdp, actions, steps: int, p: Partition | None = None) -> list[Tr
     initial belief; cells are annotated when a partition is given.
     """
     source = _action_source(actions, steps)
+    if p is not None and p.dim != m.n - 1:
+        raise ValueError(f"expected a partition of dimension {m.n - 1}, got {p.dim}")
 
     def cell(belief):
-        return locate_cell(reduce_belief(belief), p) if p is not None else None
+        return _locate(belief[:-1].tolist(), p) if p is not None else None
 
     belief = np.array(m.pi0, dtype=float)
     trace = [_record(m, 0, None, None, belief, cell(belief))]

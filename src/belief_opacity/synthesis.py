@@ -20,10 +20,10 @@ the pruned abstraction rather than a copy of its edges per real action.
 Both routes read the pruned automaton's edge arrays (see
 :class:`~.model.Nfa`): the fixpoint R walks ``offsets`` and ``dst`` by
 state index, the edit view's outputs come from the per-state enabled
-actions, and :func:`edit_to_dot` groups the sorted edges by source.  Only
+actions, and :func:`edit_to_dot` groups the sorted edges by source.
 :meth:`EditEngine.step`'s check that the observer's new cell is in
-delta(q, output) reads the derived ``delta`` mapping, one hashed lookup per
-step.
+delta(q, output) is one hashed lookup per step in a set of int keys built
+from the edge arrays; nothing here reads the derived ``delta`` mapping.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from functools import cached_property
 import numpy as np
 
 from .abstraction import _EDGE_STYLES
-from .dynamics import belief_update, reduce_belief
+from .dynamics import reduce_belief
 from .model import Mdp, Nfa, _state_key, mdp_to_nfa
-from .partition import Partition, locate_cell
+from .partition import Partition, _locate, locate_cell
 
 __all__ = [
     "InitialStatePrunedError",
@@ -347,14 +347,19 @@ class EditAutomaton:
                          for actual in self.alphabet)
 
     @cached_property
-    def _enabled(self) -> dict:
-        return dict(zip(self.pruned.order, self.pruned._enabled))
+    def _moves(self) -> frozenset[int]:
+        """Every pruned edge (q, output, q') as the int key ``slot * n + j``
+        over the edge arrays: ``slot = i * K + k`` for the indices i of q in
+        ``pruned.order`` and k of output in the alphabet, and j of q'."""
+        t = self.pruned
+        slot = np.repeat(np.arange(len(t.offsets) - 1), np.diff(t.offsets))
+        return frozenset((slot * len(t.order) + t.dst).tolist())
 
     def outputs(self, q, actual: str) -> tuple[str, ...]:
         """Outputs available at q for the given real action, in action order."""
         if actual not in self.pruned.alphabet:
             return ()
-        return self._enabled.get(q, ())
+        return self.pruned.enabled(q)
 
 
 def build_edit_automaton(pruned_t: Nfa) -> EditAutomaton:
@@ -374,8 +379,17 @@ class EditEngine:
 
     Tracks the exact observer belief induced by the *output* actions; the
     abstract state is always the cell of that belief, which is how the
-    nondeterminism of the automaton is resolved.  Engines are single-stream
-    and not thread-safe; run one engine per monitored stream.
+    nondeterminism of the automaton is resolved.  A step costs one
+    matrix-vector product, one cell location and one hashed check that the
+    new cell is in delta(q, output); the tables it reads are built once per
+    automaton and cached on it, so a fresh engine per stream is cheap.
+
+    ``seed`` seeds the uniform-random strategy.  A caller that also draws
+    the real actions from a seed should give the engine an independent
+    stream of it, such as ``seed=(seed, 1)``, as the CLI does: with the same
+    seed and as many outputs as actions, both generators draw the same
+    indices.  Engines are single-stream and not thread-safe; run one engine
+    per monitored stream.
     """
 
     def __init__(
@@ -393,8 +407,10 @@ class EditEngine:
         self.automaton = automaton
         self.strategy = strategy
         self.rng = np.random.default_rng(seed)
-        # delta(q, output), looked up once per step
-        self._moves = automaton.pruned.delta
+        t = automaton.pruned
+        self._index, self._enabled, self._moves = t._index, t._enabled, automaton._moves
+        self._symbol = dict(zip(t.alphabet, range(len(t.alphabet))))
+        self._k, self._n = len(t.alphabet), len(t.order)
         self.observer_belief = np.array(m.pi0, dtype=float)
         self.current_cell = locate_cell(reduce_belief(self.observer_belief), p)
         if self.current_cell not in automaton.states:
@@ -405,7 +421,8 @@ class EditEngine:
     def step(self, actual: str) -> str:
         """Rewrite one real action and advance the observer belief."""
         q = self.current_cell
-        outputs = self.automaton.outputs(q, actual)
+        i = self._index[q]
+        outputs = self._enabled[i] if actual in self._symbol else ()
         if not outputs:
             raise EditUndefinedError(f"no output defined at cell {q} for action {actual!r}")
         if self.strategy == "lex-first":
@@ -414,10 +431,11 @@ class EditEngine:
             out = actual if actual in outputs else outputs[0]
         else:
             out = outputs[int(self.rng.integers(len(outputs)))]
-        self.observer_belief = belief_update(self.observer_belief, out, self.mdp)
-        cell = locate_cell(self.observer_belief[:-1], self.partition)
-        # every output is enabled at q, so delta has the key
-        if cell not in self._moves[(q, out)]:
+        # a new array, not an update in place: traces keep every belief
+        belief = self.observer_belief = self.mdp.trans[out] @ self.observer_belief
+        cell = _locate(belief[:-1].tolist(), self.partition)
+        j = self._index.get(cell)
+        if j is None or (i * self._k + self._symbol[out]) * self._n + j not in self._moves:
             raise EditUndefinedError(
                 f"observer belief moved to cell {cell}, which the edit automaton does not "
                 f"cover from cell {q} on {out!r}"

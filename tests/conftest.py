@@ -7,6 +7,8 @@ through the code under test).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,27 @@ def random_mdp(rng: np.random.Generator, n: int, n_actions: int = 2,
                secret=secret, threshold=1.0 if threshold is None else threshold)
     m, _ = bo.canonical_reorder(m)
     return m
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_table(p: bo.Partition):
+    """Every cell's lower and upper corner, and whether it is not excluded."""
+    los = np.array([c.box.lo for c in p.cells])
+    his = np.array([c.box.hi for c in p.cells])
+    usable = np.array([c.status != bo.EXCLUDED for c in p.cells])
+    return los, his, usable
+
+
+def scan_locate(x, p):
+    """Reference point location: test every cell.  Among non-excluded cells
+    whose closed box holds x, the lexicographically largest lower corner,
+    then the largest id; None when no cell qualifies."""
+    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    los, his, usable = _cell_table(p)
+    hits = np.nonzero(usable & np.all(los <= xs, axis=1) & np.all(xs <= his, axis=1))[0]
+    if hits.size == 0:
+        return None
+    return max((tuple(los[i]), p.cells[i].id) for i in hits)[1]
 
 
 def evaluate_policy_reachability(m: bo.Mdp, choice: dict[str, str], target) -> dict[str, float]:

@@ -202,6 +202,21 @@ class TestSimulate:
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert all(row.split(",")[2] for row in rows[1:])  # output column filled
 
+    @pytest.mark.parametrize("seed", ["1", "7"])
+    def test_uniform_random_rewrites_about_half_the_random_actions(self, model_file, tmp_path,
+                                                                   seed):
+        # both actions are enabled almost everywhere at this width, so a
+        # uniform pick independent of the real action differs from it about
+        # half the time; drawn from one generator state, the two would agree
+        out = tmp_path / "out"
+        assert main(["simulate", "--model", model_file, "--steps", "2000", "--edited",
+                     "--widths", "0.015", "--actions", "random", "--strategy", "uniform-random",
+                     "--seed", seed, "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "trace.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 2000
+        rewritten = sum(real != output for _, real, output, *_ in rows)
+        assert 0.35 * 2000 < rewritten < 0.65 * 2000
+
     def test_stuck_edit_engine_exits_six(self, model_file, tmp_path, monkeypatch, caplog):
         def stuck(*args, **kwargs):
             raise EditUndefinedError("observer belief moved to cell 7")

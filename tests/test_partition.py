@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belief_opacity as bo
-from conftest import random_mdp
+from conftest import random_mdp, scan_locate
 
 
 def two_state_model(secret_first=True, lam=0.8, pi0=(0.75, 0.25)):
@@ -212,6 +213,29 @@ class TestLocateCell:
         with pytest.raises(ValueError):
             bo.locate_cell(np.array([0.9, 0.9]), partition3)
 
+    @pytest.mark.parametrize("v, clamped", [(-5e-10, 0.0), (1.0 + 5e-10, 1.0)])
+    def test_coordinates_just_outside_the_box_are_clamped(self, partition3, v, clamped):
+        for x, inside in (([v, 0.1], [clamped, 0.1]), ([0.1, v], [0.1, clamped])):
+            cid = bo.locate_cell(np.array(x), partition3)
+            assert cid == bo.locate_cell(np.array(inside), partition3) == scan_locate(x, partition3)
+
+    @pytest.mark.parametrize("v", [-2e-9, 1.0 + 2e-9, math.nan, math.inf, -math.inf])
+    def test_rejects_coordinates_outside_the_tolerance(self, mdp3, partition3, v):
+        refined = bo.refine_initial(bo.build_grid(0.5, mdp3), bo.reduce_belief(mdp3.pi0), mdp3)
+        for p in (partition3, refined):
+            for x in ([v, 0.1], [0.1, v]):
+                with pytest.raises(ValueError, match="outside the unit box"):
+                    bo.locate_cell(np.array(x), p)
+
+    @pytest.mark.parametrize("x", [[0.3], [0.3, 0.1, 0.0], []])
+    def test_rejects_a_wrong_length(self, partition3, x):
+        with pytest.raises(ValueError, match="dimension 2"):
+            bo.locate_cell(x, partition3)
+
+    def test_list_input(self, partition3):
+        for x in ([0.3, 0.1], [0.2, 0.2], [1.0, 0.0], [0.0, 0.0]):
+            assert bo.locate_cell(x, partition3) == bo.locate_cell(np.array(x), partition3)
+
     def test_total_on_domain_and_agrees_with_membership(self, partition3):
         rng = np.random.default_rng(7)
         pts = rng.dirichlet(np.ones(3), size=3000)[:, :2]
@@ -294,20 +318,6 @@ class TestRefineInitial:
                 assert not np.all(inter_lo < inter_hi)
 
 
-def scan_locate(x, p):
-    """Reference point location: test every cell.  Among non-excluded cells
-    whose closed box holds x, the lexicographically largest lower corner,
-    then the largest id; None when no cell qualifies."""
-    xs = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    los = np.array([c.box.lo for c in p.cells])
-    his = np.array([c.box.hi for c in p.cells])
-    usable = np.array([c.status != bo.EXCLUDED for c in p.cells])
-    hits = np.nonzero(usable & np.all(los <= xs, axis=1) & np.all(xs <= his, axis=1))[0]
-    if hits.size == 0:
-        return None
-    return max((tuple(los[i]), p.cells[i].id) for i in hits)[1]
-
-
 def probe_points(p):
     """Grid vertices and face centres, the corners and face centres of every
     refined cell (its split lines), and the simplex-boundary points above
@@ -334,6 +344,17 @@ def probe_points(p):
         if rest >= 0.0:
             pts.append(np.array(v[:-1] + (rest,)))
     return pts
+
+
+def nudged_outside(points):
+    """The points on the unit box's boundary, each boundary coordinate moved
+    5e-10 outside it (within the tolerance that clamps it back), every
+    other point given as a list."""
+    out = []
+    for x in points:
+        y = np.where(x == 0.0, -5e-10, np.where(x == 1.0, 1.0 + 5e-10, x))
+        out.append(y if (y != x).any() else x.tolist())
+    return out
 
 
 @st.composite
@@ -367,7 +388,7 @@ class TestLocateMatchesScan:
     @given(refined_partitions())
     def test_same_id_as_the_scan(self, case):
         p, beliefs = case
-        for x in probe_points(p) + beliefs:
+        for x in probe_points(p) + beliefs + nudged_outside(probe_points(p)):
             try:
                 got = bo.locate_cell(x, p)
             except ValueError:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -69,14 +70,26 @@ class TestSimulateEdited:
             raise AssertionError("belief located a second time")
 
         monkeypatch.setattr(bo.simulation, "locate_cell", located_again)
+        monkeypatch.setattr(bo.simulation, "_locate", located_again)
         again = bo.simulate_edited(mdp3, partition3, ea, bo.random_actions(mdp3, seed=2), 40)
         assert [r.cell_id for r in again] == [r.cell_id for r in trace]
+
+    def test_records_hold_distinct_belief_arrays(self, mdp3, partition3, abstraction3):
+        ea = bo.build_edit_automaton(abstraction3.pruned)
+        trace = bo.simulate_edited(mdp3, partition3, ea, bo.random_actions(mdp3, seed=3), 30,
+                                   strategy="match-if-safe")
+        b = mdp3.pi0
+        for rec in trace[1:]:
+            b = bo.belief_update(b, rec.output_action, mdp3)
+            assert rec.belief.tobytes() == b.tobytes()
+        for first, second in itertools.combinations(trace, 2):
+            assert not np.shares_memory(first.belief, second.belief)
 
     def test_never_violates_the_threshold(self, mdp3, partition3, abstraction3):
         ea = bo.build_edit_automaton(abstraction3.pruned)
         trace = bo.simulate_edited(
             mdp3, partition3, ea, bo.random_actions(mdp3, seed=4), 200,
-            strategy="uniform-random", seed=4,
+            strategy="uniform-random", seed=(4, 1),
         )
         assert bo.opacity_monitor(trace, mdp3.threshold) is None
 

@@ -12,6 +12,7 @@ from conftest import (
     playable_action_sequences,
     random_mdp,
     ref_cells,
+    scan_locate,
 )
 
 
@@ -531,6 +532,24 @@ class TestEditEngine:
             engine.step("a1")
         assert engine.current_cell == q0
 
+    def test_move_to_a_cell_outside_the_automaton_raises(self, mdp3, partition3, abstraction3):
+        # the same first move, with its target cell not a state at all
+        t = abstraction3.pruned
+        q0 = abstraction3.initial_cell
+        engine = bo.EditEngine(mdp3, partition3, bo.build_edit_automaton(t))
+        engine.step("a1")
+        moved = engine.current_cell
+        states = t.states - {moved}
+        delta = {key: targets - {moved} for key, targets in t.delta.items() if key[0] != moved}
+        broken = bo.EditAutomaton(
+            pruned=bo.Nfa(states=states, alphabet=t.alphabet, delta=delta, initial=t.initial),
+            initial=q0,
+        )
+        engine = bo.EditEngine(mdp3, partition3, broken)
+        with pytest.raises(bo.EditUndefinedError, match=f"cell {moved}, .*does not cover"):
+            engine.step("a1")
+        assert engine.current_cell == q0
+
     def test_single_action_model_echoes_it(self):
         m = bo.Mdp(states=("x", "y"), pi0=np.array([0.5, 0.5]), actions=("a",),
                    trans={"a": np.array([[0.5, 0.5], [0.5, 0.5]])},
@@ -573,6 +592,61 @@ class TestEditEngine:
                 reals = [mdp3.actions[i] for i in rng.integers(2, size=25)]
                 word = [engine.step(a) for a in reals]
                 assert abstraction3.pruned.accepts(word)
+
+
+def replay_engine(m, p, ea, strategy, seed, reals):
+    """The engine's run rebuilt from public pieces: outputs by the strategy's
+    rule over ``ea.outputs``, beliefs by :func:`belief_update` and cells by
+    the scan; yields (output, cell, belief) per step."""
+    rng = np.random.default_rng(seed)
+    b = np.array(m.pi0, dtype=float)
+    q = scan_locate(b[:-1], p)
+    for actual in reals:
+        outputs = ea.outputs(q, actual)
+        if strategy == "lex-first":
+            out = outputs[0]
+        elif strategy == "match-if-safe":
+            out = actual if actual in outputs else outputs[0]
+        else:
+            out = outputs[int(rng.integers(len(outputs)))]
+        b = bo.belief_update(b, out, m)
+        cell = scan_locate(b[:-1], p)
+        assert cell in ea.pruned.successors(q, out)
+        q = cell
+        yield out, q, b
+
+
+class TestEngineReplay:
+    @pytest.mark.parametrize("case", ["refined reference", "random"])
+    def test_engine_equals_the_replay(self, mdp3, case):
+        # both initial cells are bad, so both partitions are refined
+        if case == "random":
+            m, width = random_mdp(np.random.default_rng(100), 4), 0.1
+        else:
+            m, width = replace(mdp3, pi0=np.array([0.5, 0.29, 0.21])), 0.02
+        p = bo.refine_initial(bo.build_grid(width, m), bo.reduce_belief(m.pi0), m)
+        assert p.splits
+        ea = bo.build_edit_automaton(bo.abstract(m, p).pruned)
+        rng = np.random.default_rng(6)
+        for seed, strategy in enumerate(bo.STRATEGIES):
+            reals = [m.actions[k] for k in rng.integers(len(m.actions), size=300).tolist()]
+            engine = bo.EditEngine(m, p, ea, strategy=strategy, seed=seed)
+            assert engine.current_cell == scan_locate(bo.reduce_belief(m.pi0), p)
+            for actual, (out, cell, b) in zip(reals, replay_engine(m, p, ea, strategy, seed, reals)):
+                assert engine.step(actual) == out
+                assert engine.current_cell == cell
+                assert engine.observer_belief.tobytes() == b.tobytes()
+
+    def test_engine_leaves_the_delta_view_unbuilt(self, mdp3, partition3):
+        pruned = bo.abstract(mdp3, partition3).pruned
+        ea = bo.build_edit_automaton(pruned)
+        for strategy in bo.STRATEGIES:
+            engine = bo.EditEngine(mdp3, partition3, ea, strategy=strategy)
+            for actual in ("a1", "a2") * 20:
+                engine.step(actual)
+        bo.simulate_edited(mdp3, partition3, ea, ["a2"] * 10, 10)
+        assert bo.verify_edit_requirements(ea, mdp3, partition3, depth=3).ok
+        assert "delta" not in pruned.__dict__
 
 
 class TestVerifyEditRequirements:
