@@ -236,24 +236,40 @@ def _node_name(q) -> str:
     return str(q).replace('"', '\\"')
 
 
-def nfa_to_dot(nfa: Nfa, name: str = "T") -> str:
+def _dot(nfa: Nfa, graph: str, inits, prefixes: tuple[str, ...]) -> str:
+    """Graphviz rendering of ``nfa``: its states in order, ``bad`` as a
+    double circle; a point node with an arrow to the state for each
+    (name, state) of ``inits``; then per source its edges, sorted by
+    (action, target), once for each label prefix in ``prefixes``.  The edge
+    style follows the action: solid for the first, dashed for the second."""
+    names = [_node_name(q) for q in nfa.order]
+    lines = [f"digraph {graph} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    lines += [f'  "{node}" [shape={"doublecircle" if q == BAD_STATE else "circle"}];'
+              for q, node in zip(nfa.order, names)]
+    for point, q in inits:
+        lines += [f"  {point} [shape=point];", f'  {point} -> "{_node_name(q)}";']
+    src, act, dst = nfa.edge_arrays()
+    bounds = np.searchsorted(src, np.arange(len(names) + 1)).tolist()
+    src, act, dst = src.tolist(), act.tolist(), dst.tolist()
+    copies = []  # per prefix, every edge line in edge order
+    for prefix in prefixes:
+        labels = [f'[label="{prefix}{a}", style={_EDGE_STYLES[k % len(_EDGE_STYLES)]}]'
+                  for k, a in enumerate(nfa.alphabet)]
+        copies.append([f'  "{names[s]}" -> "{names[d]}" {labels[a]};'
+                       for s, a, d in zip(src, act, dst)])
+    for first, last in zip(bounds, bounds[1:]):
+        for copy in copies:
+            lines += copy[first:last]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def nfa_to_dot(nfa: Nfa) -> str:
     """Graphviz rendering: one edge style per action (solid for the first,
     dashed for the second), ``bad`` as a double circle, initial states
     marked by an arrow from a point node."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle];']
-    names = [_node_name(q) for q in nfa.order]
-    for q, node in zip(nfa.order, names):
-        shape = "doublecircle" if q == BAD_STATE else "circle"
-        lines.append(f'  "{node}" [shape={shape}];')
-    for i, q in enumerate(sorted(nfa.initial, key=_state_key)):
-        lines.append(f"  __init{i} [shape=point];")
-        lines.append(f'  __init{i} -> "{_node_name(q)}";')
-    labels = [f'[label="{a}", style={_EDGE_STYLES[k % len(_EDGE_STYLES)]}]'
-              for k, a in enumerate(nfa.alphabet)]
-    lines += [f'  "{names[s]}" -> "{names[d]}" {labels[a]};'
-              for s, a, d in zip(*(x.tolist() for x in nfa.edge_arrays()))]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    inits = [(f"__init{i}", q) for i, q in enumerate(sorted(nfa.initial, key=_state_key))]
+    return _dot(nfa, "T", inits, ("",))
 
 
 def edges_to_csv(nfa: Nfa) -> str:

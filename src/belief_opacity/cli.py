@@ -6,16 +6,17 @@ Identical arguments and seed produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 model validation failure, 2 I/O or syntax error
 (including a one-state model where a belief abstraction is needed, a
-negative ``--steps``, and widths giving a grid too large to allocate), 3 the
-initial abstraction state was pruned (or could not be refined), 4
-restriction left an initial MDP state without actions, 5 the simulated
-trace violated the opacity threshold, 6 the edit engine had no output for
-the edited stream (its belief left the edit automaton).
+negative ``--steps`` or ``--seed``, and widths giving a grid too large to
+allocate), 3 the initial abstraction state was pruned (or could not be
+refined), 4 restriction left an initial MDP state without actions, 5 the
+simulated trace violated the opacity threshold, 6 the edit engine had no
+output for the edited stream (its belief left the edit automaton).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import math
 import sys
@@ -182,6 +183,8 @@ def cmd_simulate(args) -> int:
     m = _load_validated(args)
     if args.steps < 0:
         raise ModelFormatError(f"--steps must be non-negative, got {args.steps}")
+    if args.seed < 0:
+        raise ModelFormatError(f"--seed must be non-negative, got {args.seed}")
     out = _outdir(args)
     if args.actions == "random":
         source = random_actions(m, seed=args.seed)
@@ -192,7 +195,7 @@ def cmd_simulate(args) -> int:
             raise ModelFormatError(f"unknown actions {unknown}")
         if not names:
             raise ModelFormatError("--actions must name at least one action")
-        source = lambda t, _b: names[t % len(names)]
+        source = itertools.cycle(names)
 
     if args.edited:
         if args.widths is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Mdp
+from .model import Mdp, _freeze
 
 __all__ = [
     "belief_update",
@@ -54,12 +54,6 @@ def lift_belief(x: np.ndarray) -> np.ndarray:
     return np.append(x, 1.0 - x.sum())
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class AffineDecomposition:
     """Per-action split ``f(x, y) = a1 @ x - a2 @ y + b`` of the reduced
@@ -77,9 +71,9 @@ class AffineDecomposition:
     action: str
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", _frozen(self.a1))
-        object.__setattr__(self, "a2", _frozen(self.a2))
-        object.__setattr__(self, "b", _frozen(self.b))
+        object.__setattr__(self, "a1", _freeze(self.a1))
+        object.__setattr__(self, "a2", _freeze(self.a2))
+        object.__setattr__(self, "b", _freeze(self.b))
 
     @property
     def dim(self) -> int:
@@ -117,8 +111,8 @@ class IntervalBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _frozen(self.lo))
-        object.__setattr__(self, "hi", _frozen(self.hi))
+        object.__setattr__(self, "lo", _freeze(self.lo))
+        object.__setattr__(self, "hi", _freeze(self.hi))
         if self.lo.shape != self.hi.shape:
             raise ValueError("lo and hi must have the same shape")
         if np.any(self.lo > self.hi):

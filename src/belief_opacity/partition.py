@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import IntervalBox, _frozen
-from .model import Mdp
+from .dynamics import IntervalBox
+from .model import Mdp, _freeze
 
 __all__ = [
     "SAFE",
@@ -86,17 +86,15 @@ class Partition:
     hi: np.ndarray
     status: tuple[str, ...]
     ids: tuple[int, ...]
-    widths: tuple[float, ...]
     dim: int
     grid_edges: tuple[tuple[float, ...], ...]
     splits: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _frozen(self.lo).reshape(-1, self.dim))
-        object.__setattr__(self, "hi", _frozen(self.hi).reshape(-1, self.dim))
+        object.__setattr__(self, "lo", _freeze(self.lo).reshape(-1, self.dim))
+        object.__setattr__(self, "hi", _freeze(self.hi).reshape(-1, self.dim))
         object.__setattr__(self, "status", tuple(self.status))
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "widths", tuple(self.widths))
 
     @cached_property
     def _rows(self) -> dict[int, int]:
@@ -210,7 +208,6 @@ def build_grid(widths, m: Mdp) -> Partition:
         hi=hi,
         status=_classify(lo, hi, m),
         ids=range(len(lo)),
-        widths=widths,
         dim=dim,
         grid_edges=tuple(tuple(e.tolist()) for e in edges),
     )
@@ -422,7 +419,6 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) ->
         hi=np.concatenate([np.delete(p.hi, first, axis=0), new_hi]),
         status=p.status[:first] + p.status[first + 1:] + new_status,
         ids=p.ids[:first] + p.ids[first + 1:] + tuple(added),
-        widths=p.widths,
         dim=p.dim,
         grid_edges=p.grid_edges,
         splits={**p.splits, g: kept + tuple(added)},

@@ -4,6 +4,7 @@ sampling cross-checks for the abstraction."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,26 +50,23 @@ def _record(m: Mdp, step: int, real, output, belief, cell: int | None) -> TraceR
     )
 
 
-def _action_source(actions, steps: int):
-    """``actions`` as a callable ``(step_index, belief) -> action``: a
-    callable is returned as is, a sequence must name at least ``steps``
-    actions."""
-    if callable(actions):
-        return actions
-    actions = list(actions)
-    if len(actions) < steps:
-        raise ValueError(f"need {steps} actions, got {len(actions)}")
-    return lambda t, _b: actions[t]
+def _take(actions, steps: int) -> list[str]:
+    """The first ``steps`` names of the iterable ``actions``."""
+    names = list(itertools.islice(actions, steps))
+    if len(names) < steps:
+        raise ValueError(f"need {steps} actions, got {len(names)}")
+    return names
 
 
 def simulate(m: Mdp, actions, steps: int, p: Partition | None = None) -> list[TraceRecord]:
     """Exact belief trajectory for ``steps`` observed actions.
 
-    ``actions`` is either a sequence of at least ``steps`` action names or a
-    callable ``(step_index, belief) -> action``.  The first record is the
-    initial belief; cells are annotated when a partition is given.
+    ``actions`` is any iterable of action names, such as a list,
+    ``itertools.cycle`` or :func:`random_actions`; its first ``steps`` names
+    are used.  The first record is the initial belief; cells are annotated
+    when a partition is given.
     """
-    source = _action_source(actions, steps)
+    names = _take(actions, steps)
     if p is not None and p.dim != m.n - 1:
         raise ValueError(f"expected a partition of dimension {m.n - 1}, got {p.dim}")
 
@@ -77,10 +75,9 @@ def simulate(m: Mdp, actions, steps: int, p: Partition | None = None) -> list[Tr
 
     belief = np.array(m.pi0, dtype=float)
     trace = [_record(m, 0, None, None, belief, cell(belief))]
-    for t in range(steps):
-        a = source(t, belief)
+    for t, a in enumerate(names, start=1):
         belief = belief_update(belief, a, m)
-        trace.append(_record(m, t + 1, a, a, belief, cell(belief)))
+        trace.append(_record(m, t, a, a, belief, cell(belief)))
     return trace
 
 
@@ -99,24 +96,31 @@ def simulate_edited(
     each is rewritten by a fresh :class:`EditEngine` and the recorded belief
     is the one induced by the output actions; its cell is the engine's.
     """
-    source = _action_source(actions, steps)
+    names = _take(actions, steps)
     engine = EditEngine(m, p, ea, strategy=strategy, seed=seed)
     trace = [_record(m, 0, None, None, engine.observer_belief, engine.current_cell)]
-    for t in range(steps):
-        real = source(t, engine.observer_belief)
+    for t, real in enumerate(names, start=1):
         out = engine.step(real)
-        trace.append(_record(m, t + 1, real, out, engine.observer_belief, engine.current_cell))
+        trace.append(_record(m, t, real, out, engine.observer_belief, engine.current_cell))
     return trace
 
 
-def random_actions(m: Mdp, seed: int = 0):
-    """Seeded uniform action source for :func:`simulate`."""
+def random_actions(m: Mdp, seed: int = 0) -> Iterator[str]:
+    """Endless seeded stream of uniformly drawn action names of ``m``.
+
+    Names are drawn in blocks; NumPy's bounded integer draws give the same
+    values in blocks as one at a time, so the stream is that of one
+    ``rng.integers(len(m.actions))`` per name.  An invalid seed raises here,
+    not at the first draw.
+    """
     rng = np.random.default_rng(seed)
+    names = m.actions
 
-    def source(_t, _belief):
-        return m.actions[int(rng.integers(len(m.actions)))]
+    def stream():
+        while True:
+            yield from map(names.__getitem__, rng.integers(len(names), size=1024).tolist())
 
-    return source
+    return stream()
 
 
 def opacity_monitor(trace, threshold: float) -> int | None:
@@ -163,11 +167,8 @@ def soundness_check(
         sequences = itertools.product(m.actions, repeat=depth)
         total = n_actions**depth
     else:
-        rng = np.random.default_rng(seed)
-        sequences = (
-            tuple(m.actions[i] for i in rng.integers(n_actions, size=depth))
-            for _ in range(samples)
-        )
+        stream = random_actions(m, seed)
+        sequences = (tuple(itertools.islice(stream, depth)) for _ in range(samples))
         total = samples
 
     violations = []

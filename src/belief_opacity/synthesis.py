@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .abstraction import _EDGE_STYLES
+from .abstraction import _FINER_PARTITION_HINT, _dot
 from .dynamics import reduce_belief
 from .model import Mdp, Nfa, _state_key, mdp_to_nfa
 from .partition import Partition, _locate, locate_cell
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 STRATEGIES = ("lex-first", "match-if-safe", "uniform-random")
+
+# the sweep budget of synthesize_reach_policy's value iteration
+_MAX_ITER = 1_000_000
 
 
 class InitialStatePrunedError(RuntimeError):
@@ -235,8 +238,7 @@ def prune_blocking(r: RestrictedMdp) -> RestrictedMdp:
             removed.add(s)
             if m.pi0[j] > 0.0:
                 raise InitialStatePrunedError(
-                    f"initial state {s} has no privacy-safe actions; "
-                    "the current partition may be too coarse, retry with smaller grid widths"
+                    f"initial state {s} has no privacy-safe actions; " + _FINER_PARTITION_HINT
                 )
         for j in blocking:
             for src, a in preds[j]:
@@ -257,14 +259,13 @@ class Policy:
     value: dict[str, float]
 
 
-def synthesize_reach_policy(
-    r: RestrictedMdp, target, eps: float = 1e-9, max_iter: int = 1_000_000
-) -> Policy:
+def synthesize_reach_policy(r: RestrictedMdp, target, eps: float = 1e-9) -> Policy:
     """Value iteration for the maximal probability of reaching ``target``
     using only allowed actions.
 
-    Iterates until the sup-norm change drops below ``eps``; argmax ties go
-    to the action listed first in the model.
+    Iterates until the sup-norm change drops below ``eps`` (at most
+    ``_MAX_ITER`` sweeps); argmax ties go to the action listed first in the
+    model.
     """
     m = r.base
     target = set(target)
@@ -300,7 +301,7 @@ def synthesize_reach_policy(
 
     v = np.zeros(m.n)
     v[fixed] = 1.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         new_v = backup(v).max(axis=0)
         new_v[dead] = 0.0
         new_v[fixed] = 1.0
@@ -384,12 +385,12 @@ class EditEngine:
     new cell is in delta(q, output); the tables it reads are built once per
     automaton and cached on it, so a fresh engine per stream is cheap.
 
-    ``seed`` seeds the uniform-random strategy.  A caller that also draws
-    the real actions from a seed should give the engine an independent
-    stream of it, such as ``seed=(seed, 1)``, as the CLI does: with the same
-    seed and as many outputs as actions, both generators draw the same
-    indices.  Engines are single-stream and not thread-safe; run one engine
-    per monitored stream.
+    ``seed`` seeds the uniform-random strategy; the other strategies never
+    draw and create no generator.  A caller that also draws the real actions
+    from a seed should give the engine an independent stream of it, such as
+    ``seed=(seed, 1)``, as the CLI does: with the same seed and as many
+    outputs as actions, both generators draw the same indices.  Engines are
+    single-stream and not thread-safe; run one engine per monitored stream.
     """
 
     def __init__(
@@ -406,7 +407,7 @@ class EditEngine:
         self.partition = p
         self.automaton = automaton
         self.strategy = strategy
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed) if strategy == "uniform-random" else None
         t = automaton.pruned
         self._index, self._enabled, self._moves = t._index, t._enabled, automaton._moves
         self._symbol = dict(zip(t.alphabet, range(len(t.alphabet))))
@@ -474,16 +475,15 @@ def verify_edit_requirements(
     m: Mdp,
     p: Partition,
     depth: int,
-    strategies: tuple[str, ...] = STRATEGIES,
     support: Nfa | None = None,
     seed: int = 0,
 ) -> EditVerifyReport:
     """Bounded-exhaustive check of the three edit-function requirements.
 
     Runs every real-action sequence up to ``depth`` through the engine under
-    each strategy and checks that an output is always defined, that the
-    output word stays within the support automaton's language, and that the
-    observer's secret mass never exceeds the threshold.  The cost grows as
+    each of :data:`STRATEGIES` and checks that an output is always defined,
+    that the output word stays within the support automaton's language, and
+    that the observer's secret mass never exceeds the threshold.  The cost grows as
     ``|actions| ** depth``.
     """
     if depth < 1:
@@ -496,10 +496,10 @@ def verify_edit_requirements(
 
     mass0 = m.secret_mass(m.pi0)
     if mass0 > m.threshold:
-        return failed(3, strategies[0], (), 0,
+        return failed(3, STRATEGIES[0], (), 0,
                       f"initial secret mass {mass0!r} exceeds the threshold")
 
-    for strategy in strategies:
+    for strategy in STRATEGIES:
         for seq_idx, seq in enumerate(itertools.product(m.actions, repeat=depth)):
             engine = EditEngine(m, p, ea, strategy=strategy, seed=(seed, seq_idx))
             current = set(support.initial)
@@ -520,26 +520,12 @@ def verify_edit_requirements(
     return EditVerifyReport(ok=True, sequences_checked=checked, counterexample=None)
 
 
-def edit_to_dot(ea: EditAutomaton, name: str = "Tf") -> str:
-    """Graphviz rendering with "actual/output" edge labels; the style
-    follows the output action."""
-    t = ea.pruned
-    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    lines += [f'  "{q}" [shape=circle];' for q in t.order]
-    lines.append("  __init [shape=point];")
-    lines.append(f'  __init -> "{ea.initial}";')
-    # the rewrites in (q, actual, output, q') order: per source, its edges
-    # once for every real action
-    src, act, dst = (x.tolist() for x in t.edge_arrays())
-    heads = [f'  "{t.order[s]}" -> "{t.order[d]}" [label="' for s, d in zip(src, dst)]
-    tails = [f'/{o}", style={_EDGE_STYLES[k % len(_EDGE_STYLES)]}];'
-             for k, o in enumerate(ea.alphabet)]
-    bounds = t.offsets[::len(ea.alphabet)].tolist()
-    for first, last in zip(bounds, bounds[1:]):
-        for actual in ea.alphabet:
-            lines += [h + actual + tails[o] for h, o in zip(heads[first:last], act[first:last])]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def edit_to_dot(ea: EditAutomaton) -> str:
+    """Graphviz rendering with "actual/output" edge labels: per source, its
+    pruned edges once for every real action; the style follows the output
+    action."""
+    return _dot(ea.pruned, "Tf", [("__init", ea.initial)],
+                tuple(f"{actual}/" for actual in ea.alphabet))
 
 
 def allowed_to_csv(r: RestrictedMdp) -> str:

@@ -274,6 +274,16 @@ class TestUsageErrors:
         assert "--steps must be non-negative, got -3" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--edited", "--widths", "0.2"]],
+                             ids=["random", "edited"])
+    def test_negative_seed_exits_two(self, model_file, tmp_path, capsys, caplog, extra):
+        assert main(["simulate", "--model", model_file, "--actions", "random", *extra,
+                     "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "--seed must be non-negative, got -1"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     def test_refined_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):

@@ -33,8 +33,8 @@ class TestSimulate:
         for rec in trace:
             np.testing.assert_array_equal(rec.belief, m.pi0)
 
-    def test_callable_source_and_cells(self, mdp3, partition3):
-        trace = bo.simulate(mdp3, lambda t, b: "a1", 3, p=partition3)
+    def test_list_source_and_cells(self, mdp3, partition3):
+        trace = bo.simulate(mdp3, ["a1"] * 3, 3, p=partition3)
         for rec in trace:
             assert rec.cell_id == bo.locate_cell(bo.reduce_belief(rec.belief), partition3)
 
@@ -49,6 +49,42 @@ class TestSimulate:
         for rec in trace:
             assert abs(rec.belief.sum() - 1.0) < 1e-9
             assert np.all(rec.belief >= 0)
+
+
+class TestActionSources:
+    @pytest.mark.parametrize("n_actions", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_actions_replay_one_draw_per_name(self, n_actions, seed):
+        m = random_mdp(np.random.default_rng(3), 3, n_actions)
+        rng = np.random.default_rng(seed)
+        expected = [m.actions[int(rng.integers(n_actions))] for _ in range(3000)]
+        assert list(itertools.islice(bo.random_actions(m, seed), 3000)) == expected
+
+    def test_invalid_seed_raises_on_call(self, mdp3):
+        with pytest.raises(ValueError):
+            bo.random_actions(mdp3, seed=-1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ["a2", "a1"] * 3,
+        lambda: itertools.cycle(["a2", "a1"]),
+        lambda: (a for _ in range(4) for a in ("a2", "a1")),
+    ], ids=["list", "cycle", "generator"])
+    def test_simulators_take_the_first_names_of_any_iterable(self, mdp3, partition3,
+                                                             abstraction3, make):
+        ea = bo.build_edit_automaton(abstraction3.pruned)
+        names = ["a2", "a1"] * 3
+        for run in (lambda src: bo.simulate(mdp3, src, 6),
+                    lambda src: bo.simulate_edited(mdp3, partition3, ea, src, 6)):
+            trace, expected = run(make()), run(names)
+            assert [r.real_action for r in trace[1:]] == names
+            assert [r.belief.tobytes() for r in trace] == [r.belief.tobytes() for r in expected]
+
+    def test_short_source_raises_in_both_simulators(self, mdp3, partition3, abstraction3):
+        ea = bo.build_edit_automaton(abstraction3.pruned)
+        with pytest.raises(ValueError, match="need 4 actions, got 3"):
+            bo.simulate(mdp3, ["a1"] * 3, 4)
+        with pytest.raises(ValueError, match="need 4 actions, got 3"):
+            bo.simulate_edited(mdp3, partition3, ea, iter(["a1"] * 3), 4)
 
 
 class TestSimulateEdited:
@@ -131,6 +167,20 @@ class TestSoundnessCheck:
         assert not report.ok
         v = report.violations[0]
         assert (v.from_cell, v.action, v.to_state) == (initial, "a1", first_move)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_sampled_sequences_replay_block_draws(self, mdp3, partition3, seed):
+        # 2**14 > 10**4 sequences, so they are sampled; with no edges every
+        # sampled sequence is reported at its first step, in sampling order
+        raw = bo.build_abstraction(mdp3, partition3, overlap_mode="closed")
+        empty = bo.Nfa(states=raw.states, alphabet=raw.alphabet, delta={}, initial=raw.initial)
+        report = bo.soundness_check(mdp3, partition3, empty, depth=14, samples=20, seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = [tuple(mdp3.actions[i] for i in rng.integers(2, size=14))
+                    for _ in range(20)]
+        assert report.sequences_checked == 20
+        assert [v.sequence for v in report.violations] == expected
+        assert {v.step for v in report.violations} == {1}
 
     def test_depth_zero_is_trivially_sound(self, mdp3, partition3):
         raw = bo.build_abstraction(mdp3, partition3, overlap_mode="closed")

@@ -576,6 +576,25 @@ class TestEditEngine:
             runs.append([engine.step(a) for a in reals])
         assert runs[0] == runs[1]
 
+    def test_only_uniform_random_creates_a_generator(self, mdp3, partition3, abstraction3,
+                                                     monkeypatch):
+        ea = bo.build_edit_automaton(abstraction3.pruned)
+        seeds = []
+        make = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return make(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        for strategy in ("lex-first", "match-if-safe"):
+            engine = bo.EditEngine(mdp3, partition3, ea, strategy=strategy, seed=4)
+            for a in ("a1", "a2", "a2", "a1"):
+                engine.step(a)
+        assert seeds == []
+        bo.EditEngine(mdp3, partition3, ea, strategy="uniform-random", seed=4)
+        assert seeds == [4]
+
     def test_unknown_strategy_rejected(self, mdp3, partition3, abstraction3):
         ea = bo.build_edit_automaton(abstraction3.pruned)
         with pytest.raises(ValueError, match="strategy"):
