@@ -49,7 +49,7 @@ print(f"\ninitial belief cell: {result.initial_cell}")
 print("pruning log:")
 print(bo.format_prune_log(result.log).rstrip() or "  nothing pruned")
 print("surviving automaton:")
-for q in result.pruned.sorted_states():
+for q in result.pruned.order:
     for a in m.actions:
         succ = sorted(result.pruned.successors(q, a))
         if succ:

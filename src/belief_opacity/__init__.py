@@ -16,7 +16,6 @@ from .abstraction import (
     InitialCellPrunedError,
     PruneEvent,
     abstract,
-    boxes_overlap,
     build_abstraction,
     edges_to_csv,
     format_prune_log,

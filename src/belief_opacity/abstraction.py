@@ -4,7 +4,8 @@ Each safe cell becomes a state; one distinguished absorbing state ``bad``
 stands for every cell that overlaps the forbidden belief region.  For each
 action the two-corner reach boxes of all safe cells are computed at once,
 and one grid search finds the cells each box overlaps under
-:func:`boxes_overlap`'s rule; each that is not excluded yields a transition.
+:func:`~.partition._overlap_rule`; each that is not excluded yields a
+transition.
 Pruning then computes the safety game's greatest fixpoint: an action is
 disabled when a successor is ``bad`` or a deleted state, and a state left
 without enabled actions is deleted.
@@ -36,7 +37,6 @@ __all__ = [
     "InitialCellPrunedError",
     "PruneEvent",
     "AbstractionResult",
-    "boxes_overlap",
     "build_abstraction",
     "prune",
     "abstract",
@@ -78,13 +78,6 @@ class AbstractionResult:
     initial_cell: int
     pruned: Nfa
     log: tuple[PruneEvent, ...]
-
-
-def boxes_overlap(alo, ahi, blo, bhi, mode: str = "strict"):
-    """Whether two boxes' intervals meet on every axis under
-    :func:`_overlap_rule`.  The corners broadcast, with coordinates on the
-    last axis, so one box is tested against many at once."""
-    return np.all(_overlap_rule(mode)(alo, ahi, blo, bhi), axis=-1)
 
 
 def build_abstraction(m: Mdp, p: Partition, overlap_mode: str = "strict") -> Nfa:

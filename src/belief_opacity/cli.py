@@ -36,10 +36,8 @@ from .abstraction import (
 from .dynamics import reduce_belief
 from .model import ModelFormatError, canonical_reorder, load_model, validate_mdp
 from .partition import (
-    BAD,
     RefinementFailedError,
     build_grid,
-    locate_cell,
     partition_to_csv,
     partition_to_svg,
     refine_initial,
@@ -103,11 +101,10 @@ def _prepare_partition(args, m):
         p = build_grid(widths[0] if len(widths) == 1 else widths, m)
     except ValueError as exc:  # a grid too large to allocate
         raise ModelFormatError(str(exc)) from None
-    x0 = reduce_belief(m.pi0)
-    if p.cell(locate_cell(x0, p)).status == BAD:
+    refined = refine_initial(p, reduce_belief(m.pi0), m)
+    if refined is not p:
         log.info("initial belief in a bad cell; refining the partition")
-        p = refine_initial(p, x0, m)
-    return p
+    return refined
 
 
 def _outdir(args) -> Path:
@@ -226,15 +223,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, widths=True):
+    def common(sp, widths_required=True):
         sp.add_argument("--model", required=True, help="model document path")
         sp.add_argument("--lambda", dest="lambda_override", type=float, default=None,
                         help="override the model's opacity threshold")
-        if widths:
-            sp.add_argument("--widths", required=widths == "required", default=None,
-                            help="comma-separated grid widths (one value is broadcast)")
-            sp.add_argument("--overlap", choices=("strict", "closed"), default="strict")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--widths", required=widths_required, default=None,
+                        help="comma-separated grid widths (one value is broadcast)")
+        sp.add_argument("--overlap", choices=("strict", "closed"), default="strict")
         sp.add_argument("--out", default="out", help="output directory")
 
     sp = sub.add_parser("validate", help="parse and validate a model document")
@@ -242,18 +237,20 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("abstract", help="partition, abstract, and prune")
-    common(sp, widths="required")
+    common(sp)
     sp.set_defaults(func=cmd_abstract)
 
     sp = sub.add_parser("synthesize", help="direct action restriction or edit automaton")
-    common(sp, widths="required")
+    common(sp)
     sp.add_argument("--mode", choices=("direct", "edit"), required=True)
     sp.add_argument("--target", default=None,
                     help="comma-separated target states (direct mode policy)")
     sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("simulate", help="run the belief trace and monitor opacity")
-    common(sp)
+    common(sp, widths_required=False)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the random actions and of the uniform-random strategy")
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--actions", default="random",
                     help="comma-separated actions (cycled) or 'random'")

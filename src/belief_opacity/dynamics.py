@@ -68,7 +68,6 @@ class AffineDecomposition:
     a1: np.ndarray
     a2: np.ndarray
     b: np.ndarray
-    action: str
 
     def __post_init__(self):
         object.__setattr__(self, "a1", _freeze(self.a1))
@@ -91,7 +90,7 @@ def decomposition(m: Mdp, action: str) -> AffineDecomposition:
     a1 = h[: n - 1, : n - 1]
     b = h[: n - 1, n - 1]
     a2 = np.tile(b[:, None], (1, n - 1))
-    return AffineDecomposition(a1=a1, a2=a2, b=b, action=action)
+    return AffineDecomposition(a1=a1, a2=a2, b=b)
 
 
 def decomp_eval(d: AffineDecomposition, x: np.ndarray, y: np.ndarray) -> np.ndarray:

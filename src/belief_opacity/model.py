@@ -10,16 +10,20 @@ total probability mass the observer may assign to the secret states.
 
 Parsing is strict about structure (shapes, names) but performs no numeric
 checks; those live in :func:`validate_mdp` so that a malformed-but-parseable
-document can still be loaded and reported on.
+document can still be loaded and reported on.  State and action names must
+be non-empty and free of ``,``, ``;``, ``"``, ``\\`` and control characters,
+which would break the CSV fields, DOT labels and log lines they are written
+into.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import yaml
@@ -39,6 +43,7 @@ __all__ = [
 ]
 
 _MODEL_KEYS = ("states", "actions", "pi0", "trans", "secret", "lambda")
+_NAME_BREAKER = re.compile(r'[,;"\\\x00-\x1f\x7f-\x9f]')
 
 
 class ModelFormatError(ValueError):
@@ -104,12 +109,6 @@ class Mdp:
         try:
             return self.trans[action]
         except KeyError:
-            raise ValueError(f"unknown action {action!r}") from None
-
-    def action_index(self, action: str) -> int:
-        try:
-            return self.actions.index(action)
-        except ValueError:
             raise ValueError(f"unknown action {action!r}") from None
 
     def secret_mass(self, belief: np.ndarray) -> float:
@@ -232,14 +231,9 @@ class Nfa:
         return dict(zip(self.order, range(len(self.order))))
 
     @cached_property
-    def _targets(self) -> tuple[list, list]:
-        """``offsets`` as a list and every edge's target state."""
-        return self.offsets.tolist(), [self.order[j] for j in self.dst.tolist()]
-
-    @cached_property
     def delta(self) -> Mapping:
         n, k = len(self.order), len(self.alphabet)
-        offsets, targets = self._targets
+        offsets, targets = self.offsets.tolist(), [self.order[j] for j in self.dst.tolist()]
         view = {}
         # the non-empty slots, in alphabet order, then ascending state
         for key in np.flatnonzero(np.diff(self.offsets).reshape(n, k).T).tolist():
@@ -261,25 +255,11 @@ class Nfa:
         return [actions[c] for c in masks]
 
     def successors(self, q, a: str) -> frozenset:
-        i = self._index.get(q)
-        if i is None or a not in self.alphabet:
-            return frozenset()
-        s = i * len(self.alphabet) + self.alphabet.index(a)
-        offsets, targets = self._targets
-        return frozenset(targets[offsets[s]:offsets[s + 1]])
+        return self.delta.get((q, a), frozenset())
 
     def enabled(self, q) -> tuple[str, ...]:
         i = self._index.get(q)
         return () if i is None else self._enabled[i]
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        """Whether the word can be generated from some initial state."""
-        current = set(self.initial)
-        for a in word:
-            current = set().union(*(self.successors(q, a) for q in current)) if current else set()
-            if not current:
-                return False
-        return True
 
     def reachable(self) -> frozenset:
         seen = set(self.initial)
@@ -292,9 +272,6 @@ class Nfa:
                         seen.add(q2)
                         frontier.append(q2)
         return frozenset(seen)
-
-    def sorted_states(self) -> list:
-        return list(self.order)
 
     def sorted_edges(self) -> list[tuple]:
         """All (source, action, target) triples, by source, action, target."""
@@ -338,6 +315,15 @@ def _as_number(v, where: str) -> float:
     return float(v)
 
 
+def _check_names(names: list[str], kind: str):
+    for name in names:
+        _require(
+            name and not _NAME_BREAKER.search(name),
+            f"invalid {kind} name {name!r}: names must be non-empty and contain no "
+            "',', ';', '\"', '\\' or control character",
+        )
+
+
 def parse_model(text: str) -> Mdp:
     """Parse a model document. Structural errors raise :class:`ModelFormatError`.
 
@@ -368,6 +354,7 @@ def parse_model(text: str) -> Mdp:
         "'states' must be a non-empty list of names",
     )
     _require(len(set(states)) == len(states), "duplicate state names")
+    _check_names(states, "state")
     n = len(states)
 
     actions = doc["actions"]
@@ -376,6 +363,7 @@ def parse_model(text: str) -> Mdp:
         "'actions' must be a non-empty list of names",
     )
     _require(len(set(actions)) == len(actions), "duplicate action names")
+    _check_names(actions, "action")
 
     pi0 = doc["pi0"]
     _require(isinstance(pi0, list), "'pi0' must be a list of numbers")

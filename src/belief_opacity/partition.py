@@ -363,15 +363,20 @@ def overlapping_cells(p: Partition, lo: np.ndarray, hi: np.ndarray, mode: str):
     return np.concatenate(boxes), np.concatenate(rows)
 
 
-def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) -> Partition:
+# the bisection budget of refine_initial
+_MAX_BISECTIONS = 32
+
+
+def refine_initial(p: Partition, x0: np.ndarray, m: Mdp) -> Partition:
     """Bisect the cell containing ``x0`` until that cell is safe.
 
     ``x0`` itself must satisfy the opacity bound; the loop splits along the
     secret dimension with the most room between x0 and the cell's upper
     face (ties to the lowest dimension), reclassifies both halves, and stops
     once x0's cell is safe.  Raises :class:`RefinementFailedError` after
-    ``max_depth`` bisections.  Halves get fresh ids above every existing
-    one, and only the grid cell holding x0's cell is re-indexed.
+    ``_MAX_BISECTIONS`` bisections.  Returns ``p`` itself when x0's cell is
+    not bad.  Halves get fresh ids above every existing one, and only the
+    grid cell holding x0's cell is re-indexed.
     """
     x0 = np.asarray(x0, dtype=float)
     first = p.row(locate_cell(x0, p))
@@ -382,7 +387,7 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) ->
     added: dict[int, tuple[np.ndarray, np.ndarray, str]] = {}
     next_id = p.ids[-1] + 1
     cell_id, lo, hi, status = p.ids[first], p.lo[first], p.hi[first], BAD
-    for _ in range(max_depth if secret_dims else 0):
+    for _ in range(_MAX_BISECTIONS if secret_dims else 0):
         room = [(float(hi[k] - x0[k]), k) for k in secret_dims]
         _, axis = max(room, key=lambda t: (t[0], -t[1]))
         mid = 0.5 * (lo[axis] + hi[axis])
@@ -406,7 +411,7 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp, max_depth: int = 32) ->
             break
     if status == BAD:
         raise RefinementFailedError(
-            f"initial cell still bad after {max_depth} bisections; "
+            f"initial cell still bad after {_MAX_BISECTIONS} bisections; "
             "the opacity threshold may be too tight around the initial belief"
         )
     # Every bisection after the first splits a half made here, so row

@@ -23,7 +23,7 @@ state index, the edit view's outputs come from the per-state enabled
 actions, and :func:`edit_to_dot` groups the sorted edges by source.
 :meth:`EditEngine.step`'s check that the observer's new cell is in
 delta(q, output) is one hashed lookup per step in a set of int keys built
-from the edge arrays; nothing here reads the derived ``delta`` mapping.
+from the edge arrays; neither route reads the derived ``delta`` mapping.
 """
 
 from __future__ import annotations
@@ -152,15 +152,13 @@ def restrict_actions(m: Mdp, pruned_t: Nfa) -> RestrictedMdp:
     (q, a, q'), seeded with supp(pi0) at every initial state, computed by a
     worklist over bitmasks of MDP states.  Then the safe set of s is
     enabled(s) & enabled(q) over every q with s in R[q].  States in no R[q]
-    keep the full action set and are flagged vacuous.
+    keep the full action set and are flagged vacuous.  The abstraction's
+    alphabet must be ``m.actions``, in the same order.
     """
-    if set(m.actions) != set(pruned_t.alphabet):
+    if m.actions != pruned_t.alphabet:
         raise ValueError("the abstraction's alphabet must equal the model's actions")
-    sup = _supports(m)
-    bit = {a: 1 << k for k, a in enumerate(m.actions)}
-    k = len(pruned_t.alphabet)
-    sups = [sup[a] for a in pruned_t.alphabet]
-    bits = [bit[a] for a in pruned_t.alphabet]
+    sups = list(_supports(m).values())
+    k = len(sups)
     offsets, dst = pruned_t.offsets.tolist(), memoryview(pruned_t.dst)
     posts = [{} for _ in sups]  # per action, post_a of each mask met so far
 
@@ -195,7 +193,7 @@ def restrict_actions(m: Mdp, pruned_t: Nfa) -> RestrictedMdp:
     for i, mask in enumerate(reach):
         if not mask:
             continue
-        acts = sum(bits[a_k] for a_k in range(k)
+        acts = sum(1 << a_k for a_k in range(k)
                    if offsets[i * k + a_k] < offsets[i * k + a_k + 1])
         for j in _bits(mask):
             inter[j] = acts if inter[j] is None else inter[j] & acts
@@ -207,7 +205,8 @@ def restrict_actions(m: Mdp, pruned_t: Nfa) -> RestrictedMdp:
             allowed[s] = m.actions
             vacuous.add(s)
             continue
-        allowed[s] = tuple(a for a in m.actions if inter[j] & bit[a] and sup[a][j])
+        allowed[s] = tuple(a for a_k, a in enumerate(m.actions)
+                           if inter[j] >> a_k & 1 and sups[a_k][j])
     return RestrictedMdp(base=m, allowed=allowed, vacuous=frozenset(vacuous))
 
 
@@ -284,10 +283,8 @@ def synthesize_reach_policy(r: RestrictedMdp, target, eps: float = 1e-9) -> Poli
     live_idx = [m.states.index(s) for s in live]
     fixed = [m.states.index(s) for s in live if s in target]
     # blocked[k, j]: action k is not allowed at state j
-    blocked = np.ones((len(m.actions), m.n), dtype=bool)
-    for s, j in zip(live, live_idx):
-        for a in r.allowed[s]:
-            blocked[m.action_index(a), j] = False
+    blocked = np.array([[a not in r.allowed.get(s, ()) for s in m.states] for a in m.actions],
+                       dtype=bool)
     dead = blocked.all(axis=0)
     trans_t = [m.trans[a].T for a in m.actions]
     q = np.empty((len(m.actions), m.n))

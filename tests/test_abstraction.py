@@ -350,20 +350,6 @@ class TestEdgeArraysMatchTheDictAlgorithms:
         assert outcomes == ["deleted", "kept", "pruned"]
 
 
-class TestBoxesOverlap:
-    def test_strict_needs_interior_contact(self):
-        a = (np.array([0.0]), np.array([0.2]))
-        b = (np.array([0.2]), np.array([0.4]))
-        assert not bo.boxes_overlap(a[0], a[1], b[0], b[1], "strict")
-        assert bo.boxes_overlap(a[0], a[1], b[0], b[1], "closed")
-
-    def test_proper_overlap_counts_in_both_modes(self):
-        a = (np.array([0.0, 0.0]), np.array([0.3, 0.3]))
-        b = (np.array([0.2, 0.1]), np.array([0.5, 0.5]))
-        assert bo.boxes_overlap(a[0], a[1], b[0], b[1], "strict")
-        assert bo.boxes_overlap(a[0], a[1], b[0], b[1], "closed")
-
-
 class TestPrune:
     def test_reference_pruning(self, abstraction3, partition3):
         q = ref_cells(partition3)
@@ -490,7 +476,7 @@ class TestPrune:
 
     def test_result_passes_the_public_checks(self, abstraction3):
         # build_abstraction and prune build their results without
-        # re-validation; the checked constructor accepts the same parts and
+        # re-validation; the checked constructor takes the same parts and
         # changes none of them
         m = random_mdp(np.random.default_rng(911), 4, 2)
         deleting = bo.abstract(m, bo.build_grid(0.1, m))

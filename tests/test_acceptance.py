@@ -248,11 +248,11 @@ def test_c9_cli_determinism(tmp_path, capsys):
     model.write_text(THREE_STATE_DOC)
     commands = {
         "validate": ["validate", "--model", str(model)],
-        "abstract": ["abstract", "--model", str(model), "--widths", "0.2", "--seed", "0"],
+        "abstract": ["abstract", "--model", str(model), "--widths", "0.2"],
         "synthesize-direct": ["synthesize", "--model", str(model), "--widths", "0.2",
-                              "--mode", "direct", "--target", "s3", "--seed", "0"],
+                              "--mode", "direct", "--target", "s3"],
         "synthesize-edit": ["synthesize", "--model", str(model), "--widths", "0.2",
-                            "--mode", "edit", "--seed", "0"],
+                            "--mode", "edit"],
         "simulate": ["simulate", "--model", str(model), "--steps", "50",
                      "--actions", "random", "--seed", "0"],
         "simulate-edited": ["simulate", "--model", str(model), "--steps", "50",

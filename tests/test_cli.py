@@ -247,6 +247,19 @@ lambda: 0.5
 """
 
 
+TIGHT_TWO_STATE_DOC = """\
+states: [sA, sB]
+actions: [a]
+pi0: [0.75, 0.25]
+trans:
+  a:
+    - [0.6, 0.4]
+    - [0.4, 0.6]
+secret: [sA]
+lambda: 0.75
+"""
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["abstract"],
@@ -267,6 +280,49 @@ class TestUsageErrors:
             main(["abstract", "--model", model_file, "--widths", "0.2", "--clip",
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["abstract"], ["synthesize", "--mode", "edit"]])
+    def test_seed_belongs_to_simulate_only(self, model_file, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--model", model_file, "--widths", "0.2", "--seed", "0",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["abstract", "--widths", "0.2"],
+        ["synthesize", "--widths", "0.2", "--mode", "direct"],
+        ["simulate"],
+    ])
+    def test_state_name_with_a_comma_exits_two(self, tmp_path, capsys, caplog, argv):
+        path = tmp_path / "comma.yaml"
+        path.write_text(THREE_STATE_DOC.replace("states: [s1, s2, s3]", 'states: [s1, s2, "x,y"]'))
+        out = tmp_path / "out"
+        args = [*argv, "--model", str(path)] + (["--out", str(out)] if argv != ["validate"] else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines() + [r.getMessage() for r in caplog.records]
+        assert lines == [("error: " if argv == ["validate"] else "") + "invalid state name "
+                         "'x,y': names must be non-empty and contain no ',', ';', '\"', '\\' "
+                         "or control character"]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_refinement_budget_exits_three(self, tmp_path):
+        # x0 = 0.75 sits exactly on the threshold and on no bisection point
+        # of the cell [0, 0.9], so every cell holding it stays bad
+        path = tmp_path / "tight.yaml"
+        path.write_text(TIGHT_TWO_STATE_DOC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "belief_opacity", "abstract", "--model", str(path),
+             "--widths", "0.9", "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "ERROR initial cell still bad after 32 bisections; "
+            "the opacity threshold may be too tight around the initial belief"]
+        assert not (tmp_path / "out").exists()
 
     def test_negative_steps_exit_two(self, model_file, tmp_path, caplog):
         assert main(["simulate", "--model", model_file, "--steps", "-3",

@@ -1,0 +1,37 @@
+"""The package's public names: each module's ``__all__`` and the package
+namespace agree, and names folded into others stay gone."""
+
+import importlib
+import inspect
+import pkgutil
+import types
+from dataclasses import fields
+
+import belief_opacity as bo
+
+MODULES = [
+    importlib.import_module(f"belief_opacity.{info.name}")
+    for info in pkgutil.iter_modules(bo.__path__)
+    if info.name != "__main__"
+]
+
+
+def test_every_module_export_is_a_package_attribute():
+    missing = [(mod.__name__, name) for mod in MODULES for name in getattr(mod, "__all__", ())
+               if getattr(bo, name, None) is not getattr(mod, name)]
+    assert missing == []
+
+
+def test_every_public_package_attribute_comes_from_an_export_list():
+    exported = {name for mod in MODULES for name in getattr(mod, "__all__", ())}
+    public = {name for name, value in vars(bo).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == exported
+
+
+def test_removed_names_stay_removed():
+    assert not hasattr(bo, "boxes_overlap")
+    assert not any(hasattr(bo.Nfa, name) for name in ("accepts", "sorted_states", "_targets"))
+    assert not hasattr(bo.Mdp, "action_index")
+    assert "action" not in {f.name for f in fields(bo.AffineDecomposition)}
+    assert list(inspect.signature(bo.refine_initial).parameters) == ["p", "x0", "m"]

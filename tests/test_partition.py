@@ -284,10 +284,12 @@ class TestRefineInitial:
         assert (float(cell.box.lo[0]), float(cell.box.hi[0])) == (0.5, 0.5625)
 
     def test_zero_budget_raises(self):
-        m = two_state_model(lam=0.8, pi0=(0.75, 0.25))
+        # x0 = 0.75 sits exactly on the threshold and on no bisection point of
+        # [0, 0.9], so every cell holding it reaches above 0.75
+        m = two_state_model(lam=0.75, pi0=(0.75, 0.25))
         p = bo.build_grid(0.9, m)
-        with pytest.raises(bo.RefinementFailedError):
-            bo.refine_initial(p, np.array([0.75]), m, max_depth=0)
+        with pytest.raises(bo.RefinementFailedError, match="after 32 bisections"):
+            bo.refine_initial(p, np.array([0.75]), m)
 
     def test_refined_partition_still_locates_everywhere(self, mdp3):
         from dataclasses import replace

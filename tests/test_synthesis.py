@@ -608,9 +608,10 @@ class TestEditEngine:
         for strategy in bo.STRATEGIES:
             for trial in range(10):
                 engine = bo.EditEngine(mdp3, partition3, ea, strategy=strategy, seed=trial)
-                reals = [mdp3.actions[i] for i in rng.integers(2, size=25)]
-                word = [engine.step(a) for a in reals]
-                assert abstraction3.pruned.accepts(word)
+                for i in rng.integers(2, size=25):
+                    before = engine.current_cell
+                    out = engine.step(mdp3.actions[i])
+                    assert engine.current_cell in abstraction3.pruned.successors(before, out)
 
 
 def replay_engine(m, p, ea, strategy, seed, reals):
