@@ -57,6 +57,20 @@ class ModelFormatError(ValueError):
         super().__init__(message)
 
 
+def _require(cond: bool, message: str):
+    if not cond:
+        raise ModelFormatError(message)
+
+
+def _check_names(names: list[str], kind: str):
+    for name in names:
+        _require(
+            isinstance(name, str) and name and not _NAME_BREAKER.search(name),
+            f"invalid {kind} name {name!r}: names must be non-empty and contain no "
+            "',', ';', '\"', '\\' or control character",
+        )
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -69,7 +83,10 @@ class Mdp:
 
     ``trans[a]`` is the column-stochastic matrix whose (i, j) entry is the
     probability of reaching state i from state j under action ``a``; the
-    observer belief therefore evolves as ``b' = trans[a] @ b``.
+    observer belief therefore evolves as ``b' = trans[a] @ b``.  State and
+    action names follow the module's name rule, on every construction path
+    (:func:`parse_model`, the constructor, ``dataclasses.replace``); a name
+    that breaks it raises :class:`ModelFormatError`.
     """
 
     states: tuple[str, ...]
@@ -82,6 +99,8 @@ class Mdp:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "actions", tuple(self.actions))
+        _check_names(self.states, "state")
+        _check_names(self.actions, "action")
         object.__setattr__(self, "pi0", _freeze(self.pi0))
         object.__setattr__(self, "trans", {a: _freeze(h) for a, h in self.trans.items()})
         object.__setattr__(self, "secret", frozenset(self.secret))
@@ -304,24 +323,10 @@ class ValidationReport:
         return "\n".join([head] + [f"  {i}" for i in self.issues])
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ModelFormatError(message)
-
-
 def _as_number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ModelFormatError(f"{where} must be a number, got {v!r}")
     return float(v)
-
-
-def _check_names(names: list[str], kind: str):
-    for name in names:
-        _require(
-            name and not _NAME_BREAKER.search(name),
-            f"invalid {kind} name {name!r}: names must be non-empty and contain no "
-            "',', ';', '\"', '\\' or control character",
-        )
 
 
 def parse_model(text: str) -> Mdp:
@@ -354,7 +359,6 @@ def parse_model(text: str) -> Mdp:
         "'states' must be a non-empty list of names",
     )
     _require(len(set(states)) == len(states), "duplicate state names")
-    _check_names(states, "state")
     n = len(states)
 
     actions = doc["actions"]
@@ -363,7 +367,6 @@ def parse_model(text: str) -> Mdp:
         "'actions' must be a non-empty list of names",
     )
     _require(len(set(actions)) == len(actions), "duplicate action names")
-    _check_names(actions, "action")
 
     pi0 = doc["pi0"]
     _require(isinstance(pi0, list), "'pi0' must be a list of numbers")

@@ -250,7 +250,7 @@ def trace_to_csv(trace, m: Mdp) -> str:
             rec.real_action or "",
             rec.output_action or "",
         ]
-        row += [repr(float(v)) for v in rec.belief]
+        row += [repr(v) for v in rec.belief.tolist()]
         row.append(repr(rec.secret_mass))
         row.append("" if rec.cell_id is None else str(rec.cell_id))
         lines.append(",".join(row))

@@ -21,9 +21,11 @@ Both routes read the pruned automaton's edge arrays (see
 :class:`~.model.Nfa`): the fixpoint R walks ``offsets`` and ``dst`` by
 state index, the edit view's outputs come from the per-state enabled
 actions, and :func:`edit_to_dot` groups the sorted edges by source.
-:meth:`EditEngine.step`'s check that the observer's new cell is in
-delta(q, output) is one hashed lookup per step in a set of int keys built
-from the edge arrays; neither route reads the derived ``delta`` mapping.
+:meth:`EditEngine.step` costs one bound ``ndarray.dot`` per step, one cell
+location and one hashed check: that the observer's new cell is in
+delta(q, output) is one lookup in a set of int keys built from the edge
+arrays, and the engine carries the current cell's index from step to step;
+neither route reads the derived ``delta`` mapping.
 """
 
 from __future__ import annotations
@@ -377,10 +379,13 @@ class EditEngine:
 
     Tracks the exact observer belief induced by the *output* actions; the
     abstract state is always the cell of that belief, which is how the
-    nondeterminism of the automaton is resolved.  A step costs one
-    matrix-vector product, one cell location and one hashed check that the
-    new cell is in delta(q, output); the tables it reads are built once per
-    automaton and cached on it, so a fresh engine per stream is cheap.
+    nondeterminism of the automaton is resolved.  A step costs one bound
+    ``ndarray.dot`` of the output action's matrix with the belief, one cell
+    location and one hashed check that the new cell is in delta(q, output).
+    The engine carries the current cell as its index in ``pruned.order``, so
+    no step looks the cell up; ``current_cell`` reads it back.  The tables a
+    step reads are built once per automaton and cached on it, except the
+    per-action table of bound updates, so a fresh engine per stream is cheap.
 
     ``seed`` seeds the uniform-random strategy; the other strategies never
     draw and create no generator.  A caller that also draws the real actions
@@ -406,39 +411,49 @@ class EditEngine:
         self.strategy = strategy
         self.rng = np.random.default_rng(seed) if strategy == "uniform-random" else None
         t = automaton.pruned
-        self._index, self._enabled, self._moves = t._index, t._enabled, automaton._moves
+        self._order, self._index, self._enabled = t.order, t._index, t._enabled
+        self._moves = automaton._moves
         self._symbol = dict(zip(t.alphabet, range(len(t.alphabet))))
+        # per output action: its alphabet index and the bound belief update
+        self._update = {a: (k, m.trans[a].dot) for a, k in self._symbol.items()}
         self._k, self._n = len(t.alphabet), len(t.order)
         self.observer_belief = np.array(m.pi0, dtype=float)
-        self.current_cell = locate_cell(reduce_belief(self.observer_belief), p)
-        if self.current_cell not in automaton.states:
-            raise ValueError(
-                f"initial belief cell {self.current_cell} is not a state of the edit automaton"
-            )
+        cell = locate_cell(reduce_belief(self.observer_belief), p)
+        if cell not in automaton.states:
+            raise ValueError(f"initial belief cell {cell} is not a state of the edit automaton")
+        self._i = self._index[cell]  # the current cell's index in pruned.order
+
+    @property
+    def current_cell(self):
+        """The abstract state: the cell of the observer belief."""
+        return self._order[self._i]
 
     def step(self, actual: str) -> str:
         """Rewrite one real action and advance the observer belief."""
-        q = self.current_cell
-        i = self._index[q]
+        i = self._i
         outputs = self._enabled[i] if actual in self._symbol else ()
         if not outputs:
-            raise EditUndefinedError(f"no output defined at cell {q} for action {actual!r}")
+            raise EditUndefinedError(
+                f"no output defined at cell {self._order[i]} for action {actual!r}")
         if self.strategy == "lex-first":
             out = outputs[0]
         elif self.strategy == "match-if-safe":
             out = actual if actual in outputs else outputs[0]
         else:
             out = outputs[int(self.rng.integers(len(outputs)))]
+        k, update = self._update[out]
         # a new array, not an update in place: traces keep every belief
-        belief = self.observer_belief = self.mdp.trans[out] @ self.observer_belief
-        cell = _locate(belief[:-1].tolist(), self.partition)
+        belief = self.observer_belief = update(self.observer_belief)
+        xs = belief.tolist()
+        del xs[-1]
+        cell = _locate(xs, self.partition)
         j = self._index.get(cell)
-        if j is None or (i * self._k + self._symbol[out]) * self._n + j not in self._moves:
+        if j is None or (i * self._k + k) * self._n + j not in self._moves:
             raise EditUndefinedError(
                 f"observer belief moved to cell {cell}, which the edit automaton does not "
-                f"cover from cell {q} on {out!r}"
+                f"cover from cell {self._order[i]} on {out!r}"
             )
-        self.current_cell = cell
+        self._i = j
         return out
 
 

@@ -48,6 +48,20 @@ class TestBeliefUpdate:
                 assert abs(out.sum() - 1.0) < 1e-12
 
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_dot_is_bitwise_equal_to_matmul(self, n):
+        # the engine and belief_update advance beliefs with ndarray.dot; a
+        # NumPy or BLAS build that rounds it differently from ``@`` would
+        # silently change every trace
+        rng = np.random.default_rng(20 + n)
+        m = random_mdp(rng, n, n_actions=3)
+        by_dot = by_matmul = m.pi0
+        for k in rng.integers(len(m.actions), size=2000).tolist():
+            h = m.trans[m.actions[k]]
+            by_dot, by_matmul = h.dot(by_dot), h @ by_matmul
+            assert by_dot.tobytes() == by_matmul.tobytes()
+
+
 class TestReduceLift:
     def test_three_state_round_trip(self):
         x = bo.reduce_belief(PI0)

@@ -1,10 +1,16 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 import belief_opacity as bo
 from conftest import H1, H2, PI0, THREE_STATE_DOC, random_mdp
+
+BAD_NAMES = ["", "x,y", "a;b", 'a"1', "a\\b", "a\nb", "a\tb", "a\x7fb", "a\x85b"]
+BAD_NAME_IDS = ["empty", "comma", "semicolon", "quote", "backslash", "newline", "tab", "delete",
+                "c1-control"]
 
 
 class TestParse:
@@ -55,19 +61,36 @@ class TestParse:
         m = bo.parse_model(THREE_STATE_DOC)
         assert bo.parse_model(bo.serialize_model(m)) == m
 
-    @pytest.mark.parametrize("name", ["", "x,y", "a;b", 'a"1', "a\\b", "a\nb", "a\tb",
-                                      "a\x7fb", "a\x85b"],
-                             ids=["empty", "comma", "semicolon", "quote", "backslash",
-                                  "newline", "tab", "delete", "c1-control"])
+    @pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
     @pytest.mark.parametrize("kind", ["state", "action"])
     def test_names_that_break_the_artifacts_are_rejected(self, kind, name):
+        doc = yaml.safe_load(THREE_STATE_DOC)
+        if kind == "state":
+            doc["states"][2] = name
+        else:
+            doc["actions"][1] = name
+            doc["trans"][name] = doc["trans"].pop("a2")
+        with pytest.raises(bo.ModelFormatError, match=f"invalid {kind} name"):
+            bo.parse_model(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
+    @pytest.mark.parametrize("kind", ["state", "action"])
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    def test_every_construction_path_applies_the_name_rule(self, build, kind, name):
         m = bo.parse_model(THREE_STATE_DOC)
         if kind == "state":
-            m = replace(m, states=("s1", "s2", name))
+            fields = {"states": ("s1", "s2", name)}
         else:
-            m = replace(m, actions=("a1", name), trans={"a1": H1, name: H2})
-        with pytest.raises(bo.ModelFormatError, match=f"invalid {kind} name"):
-            bo.parse_model(bo.serialize_model(m))
+            fields = {"actions": ("a1", name), "trans": {"a1": H1, name: H2}}
+        message = (f"invalid {kind} name {name!r}: names must be non-empty and contain no "
+                   "',', ';', '\"', '\\' or control character")
+        with pytest.raises(bo.ModelFormatError, match=f"^{re.escape(message)}$"):
+            if build == "replace":
+                replace(m, **fields)
+            else:
+                bo.Mdp(**{"states": m.states, "pi0": m.pi0, "actions": m.actions,
+                          "trans": m.trans, "secret": m.secret,
+                          "threshold": m.threshold, **fields})
 
     def test_other_names_are_kept(self):
         m = replace(bo.parse_model(THREE_STATE_DOC), states=("s 1", "état", "s-3.x"))

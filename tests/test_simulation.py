@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,25 @@ class TestSimulateEdited:
             assert rec.belief.tobytes() == b.tobytes()
         for first, second in itertools.combinations(trace, 2):
             assert not np.shares_memory(first.belief, second.belief)
+
+    @pytest.mark.parametrize("strategy", bo.STRATEGIES)
+    @pytest.mark.parametrize("refined", [False, True], ids=["grid", "refined"])
+    def test_beliefs_equal_simulate_on_the_output_word(self, mdp3, partition3, refined,
+                                                       strategy):
+        # the engine and simulate advance beliefs by separate calls; fed the
+        # reported word, simulate must give the engine's beliefs and cells
+        if refined:
+            m = replace(mdp3, pi0=np.array([0.5, 0.29, 0.21]))
+            p = bo.refine_initial(bo.build_grid(0.02, m), bo.reduce_belief(m.pi0), m)
+            assert p.splits
+        else:
+            m, p = mdp3, partition3
+        ea = bo.build_edit_automaton(bo.abstract(m, p).pruned)
+        edited = bo.simulate_edited(m, p, ea, bo.random_actions(m, seed=5), 500,
+                                    strategy=strategy, seed=(5, 1))
+        plain = bo.simulate(m, [r.output_action for r in edited[1:]], 500, p=p)
+        assert [r.belief.tobytes() for r in edited] == [r.belief.tobytes() for r in plain]
+        assert [r.cell_id for r in edited] == [r.cell_id for r in plain]
 
     def test_never_violates_the_threshold(self, mdp3, partition3, abstraction3):
         ea = bo.build_edit_automaton(abstraction3.pruned)
@@ -298,7 +318,8 @@ class TestTraceCsv:
 
 
 def test_import_leaves_scipy_unloaded():
-    # SciPy is loaded on first use by brute_reach_box, not at package import
+    # SciPy is loaded on first use by brute_reach_box, not at package import:
+    # it was most of the package's import time, and so of every CLI start-up
     src = str(Path(bo.__file__).resolve().parents[1])
-    code = "import sys, belief_opacity; assert 'scipy.stats' not in sys.modules"
+    code = "import sys, belief_opacity; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -509,6 +509,8 @@ class TestEditEngine:
         assert engine.current_cell == bo.locate_cell(
             bo.reduce_belief(engine.observer_belief), partition3
         )
+        with pytest.raises(AttributeError):  # derived from the engine's row index
+            engine.current_cell = abstraction3.initial_cell
 
     def test_move_outside_the_output_transition_raises(self, mdp3, partition3, abstraction3):
         # from the initial cell, a1 moves the belief into the first successor
