@@ -54,7 +54,6 @@ from .partition import (
     PartitionCell,
     RefinementFailedError,
     build_grid,
-    classify_cell,
     locate_cell,
     overlapping_cells,
     partition_to_csv,

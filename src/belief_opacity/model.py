@@ -84,9 +84,10 @@ class Mdp:
     ``trans[a]`` is the column-stochastic matrix whose (i, j) entry is the
     probability of reaching state i from state j under action ``a``; the
     observer belief therefore evolves as ``b' = trans[a] @ b``.  State and
-    action names follow the module's name rule, on every construction path
-    (:func:`parse_model`, the constructor, ``dataclasses.replace``); a name
-    that breaks it raises :class:`ModelFormatError`.
+    action names follow the module's name rule and are distinct, on every
+    construction path (:func:`parse_model`, the constructor,
+    ``dataclasses.replace``); names that break either rule raise
+    :class:`ModelFormatError`.
     """
 
     states: tuple[str, ...]
@@ -101,6 +102,8 @@ class Mdp:
         object.__setattr__(self, "actions", tuple(self.actions))
         _check_names(self.states, "state")
         _check_names(self.actions, "action")
+        _require(len(set(self.states)) == len(self.states), "duplicate state names")
+        _require(len(set(self.actions)) == len(self.actions), "duplicate action names")
         object.__setattr__(self, "pi0", _freeze(self.pi0))
         object.__setattr__(self, "trans", {a: _freeze(h) for a, h in self.trans.items()})
         object.__setattr__(self, "secret", frozenset(self.secret))
@@ -358,7 +361,6 @@ def parse_model(text: str) -> Mdp:
         isinstance(states, list) and states and all(isinstance(s, str) for s in states),
         "'states' must be a non-empty list of names",
     )
-    _require(len(set(states)) == len(states), "duplicate state names")
     n = len(states)
 
     actions = doc["actions"]
@@ -366,7 +368,6 @@ def parse_model(text: str) -> Mdp:
         isinstance(actions, list) and actions and all(isinstance(a, str) for a in actions),
         "'actions' must be a non-empty list of names",
     )
-    _require(len(set(actions)) == len(actions), "duplicate action names")
 
     pi0 = doc["pi0"]
     _require(isinstance(pi0, list), "'pi0' must be a list of numbers")

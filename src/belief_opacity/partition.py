@@ -20,7 +20,6 @@ pass; :class:`PartitionCell` objects are built only on request.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ __all__ = [
     "Partition",
     "RefinementFailedError",
     "build_grid",
-    "classify_cell",
     "locate_cell",
     "overlapping_cells",
     "refine_initial",
@@ -149,16 +147,6 @@ def _classify(lo: np.ndarray, hi: np.ndarray, m: Mdp) -> list[str]:
     return np.where(excluded, EXCLUDED, np.where(bad, BAD, SAFE)).tolist()
 
 
-def classify_cell(box: IntervalBox, m: Mdp) -> str:
-    """Classify one cell against the bad belief region.
-
-    Requires the canonical state order (all secret indices within the
-    reduced coordinates); the bad test compares the secret mass of the upper
-    corner against the threshold, strictly.
-    """
-    return _classify(box.lo[None, :], box.hi[None, :], m)[0]
-
-
 MAX_GRID_CELLS = 5_000_000  # the cube of an N = 6 model at width 0.05 has 3.2 M
 
 
@@ -213,21 +201,6 @@ def build_grid(widths, m: Mdp) -> Partition:
     )
 
 
-def _grid_index(xs, p: Partition) -> tuple[int, ...]:
-    """Per-axis index of the half-open grid cell holding ``xs``; a
-    coordinate equal to 1.0 belongs to the last cell of its axis."""
-    return tuple(
-        min(bisect_right(edges, v) - 1, len(edges) - 2) for v, edges in zip(xs, p.grid_edges)
-    )
-
-
-def _flat(multi, p: Partition) -> int:
-    idx = 0
-    for i, edges in zip(multi, p.grid_edges):
-        idx = idx * (len(edges) - 1) + i
-    return idx
-
-
 def locate_cell(x, p: Partition) -> int:
     """Id of the cell owning ``x``, an array or list of ``p.dim`` coordinates.
 
@@ -256,7 +229,8 @@ def _locate(xs: list, p: Partition) -> int:
     larger) or if x lies on none of its lower faces (it is then the only
     candidate).  Every other point (one outside [0, 1] on some axis, NaN
     included, in a split or excluded grid cell, or on a lower face of a
-    refined grid) goes to :func:`_search`.
+    refined grid) goes to :func:`_search`, which runs the one grid search,
+    :func:`overlapping_cells`, on the point.
     """
     idx = 0
     on_face = False
@@ -276,31 +250,20 @@ def _locate(xs: list, p: Partition) -> int:
 
 
 def _search(xs: list, p: Partition) -> int:
-    """The ownership rule by search: validate and clamp ``xs``, then examine
-    the cells of the at most 2^dim grid cells whose closed box holds it."""
+    """The ownership rule by search: validate and clamp ``xs``, then take the
+    largest (lower corner, id) among the non-excluded cells whose closed box
+    holds it, which are the cells :func:`overlapping_cells` finds for the
+    box [x, x] under the ``closed`` rule."""
     for v in xs:
         if not -1e-9 <= v <= 1.0 + 1e-9:
             raise ValueError(f"point {xs!r} outside the unit box")
     xs = [min(max(v, 0.0), 1.0) for v in xs]
-    axes = [
-        (i - 1, i) if i > 0 and edges[i] == v else (i,)
-        for i, v, edges in zip(_grid_index(xs, p), xs, p.grid_edges)
-    ]
-    best = None
-    for multi in itertools.product(*axes):
-        g = _flat(multi, p)
-        for cid in p.splits.get(g, (g,)):
-            row = p._rows[cid]
-            if p.status[row] == EXCLUDED:
-                continue
-            lo, hi = p.lo[row].tolist(), p.hi[row].tolist()
-            if all(a <= v <= b for a, v, b in zip(lo, xs, hi)):
-                key = (lo, cid)
-                if best is None or key > best:
-                    best = key
-    if best is None:
+    x = np.array([xs])
+    _, rows = overlapping_cells(p, x, x, "closed")
+    keys = [(p.lo[r].tolist(), p.ids[r]) for r in rows.tolist() if p.status[r] != EXCLUDED]
+    if not keys:
         raise ValueError(f"point {xs!r} outside the belief domain")
-    return best[1]
+    return max(keys)[1]
 
 
 def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,8 +378,10 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp) -> Partition:
             "the opacity threshold may be too tight around the initial belief"
         )
     # Every bisection after the first splits a half made here, so row
-    # `first` is the only cell of p that goes.
-    g = _flat(_grid_index(p.lo[first], p), p)
+    # `first` is the only cell of p that goes.  Its grid cell is the split
+    # one that holds it, or else its id (an unsplit grid cell's id is its
+    # grid index).
+    g = next((k for k, held in p.splits.items() if p.ids[first] in held), p.ids[first])
     kept = tuple(i for i in p.splits.get(g, (g,)) if i != p.ids[first])
     new_lo, new_hi, new_status = zip(*added.values())
     return Partition(

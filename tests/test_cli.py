@@ -36,6 +36,12 @@ class TestValidate:
         path.write_text("states: [s1,")
         assert main(["validate", "--model", str(path)]) == 2
 
+    def test_duplicate_state_names_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "dup.yaml"
+        path.write_text(THREE_STATE_DOC.replace("states: [s1, s2, s3]", "states: [s1, s2, s2]"))
+        assert main(["validate", "--model", str(path)]) == 2
+        assert "duplicate state names" in capsys.readouterr().out
+
     def test_nan_entry_exits_one(self, tmp_path, capsys):
         path = tmp_path / "nan.yaml"
         path.write_text(THREE_STATE_DOC.replace("pi0: [0.3, 0.1, 0.6]", "pi0: [0.3, .nan, 0.6]"))

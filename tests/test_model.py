@@ -92,6 +92,30 @@ class TestParse:
                           "trans": m.trans, "secret": m.secret,
                           "threshold": m.threshold, **fields})
 
+    @pytest.mark.parametrize("kind", ["state", "action"])
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    def test_every_construction_path_rejects_duplicate_names(self, build, kind):
+        m = bo.parse_model(THREE_STATE_DOC)
+        if kind == "state":
+            fields = {"states": ("s1", "s1", "s3")}
+        else:
+            fields = {"actions": ("a1", "a1"), "trans": {"a1": H1}}
+        with pytest.raises(bo.ModelFormatError, match=f"^duplicate {kind} names$"):
+            if build == "replace":
+                replace(m, **fields)
+            else:
+                bo.Mdp(**{"states": m.states, "pi0": m.pi0, "actions": m.actions,
+                          "trans": m.trans, "secret": m.secret,
+                          "threshold": m.threshold, **fields})
+
+    @pytest.mark.parametrize("old, new, kind", [
+        ("states: [s1, s2, s3]", "states: [s1, s2, s2]", "state"),
+        ("actions: [a1, a2]", "actions: [a1, a2, a1]", "action"),
+    ])
+    def test_documents_with_duplicate_names_are_rejected(self, old, new, kind):
+        with pytest.raises(bo.ModelFormatError, match=f"^duplicate {kind} names$"):
+            bo.parse_model(THREE_STATE_DOC.replace(old, new))
+
     def test_other_names_are_kept(self):
         m = replace(bo.parse_model(THREE_STATE_DOC), states=("s 1", "état", "s-3.x"))
         assert bo.parse_model(bo.serialize_model(m)) == m

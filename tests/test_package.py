@@ -30,7 +30,8 @@ def test_every_public_package_attribute_comes_from_an_export_list():
 
 
 def test_removed_names_stay_removed():
-    assert not hasattr(bo, "boxes_overlap")
+    assert not any(hasattr(bo, name) for name in ("boxes_overlap", "classify_cell"))
+    assert not hasattr(bo.partition, "classify_cell")
     assert not any(hasattr(bo.Nfa, name) for name in ("accepts", "sorted_states", "_targets"))
     assert not hasattr(bo.Mdp, "action_index")
     assert "action" not in {f.name for f in fields(bo.AffineDecomposition)}

@@ -84,6 +84,11 @@ class TestGridCeiling:
             bo.build_grid(1 / 11, mdp3)
 
 
+def classify(box, m):
+    """Status of one box by the partition's vectorized classifier."""
+    return bo.partition._classify(box.lo[None], box.hi[None], m)[0]
+
+
 def reference_status(box, m):
     """The per-cell classification rule, written out: excluded when the lower
     corner sums to >= 1, bad when the upper corner's secret mass exceeds the
@@ -106,7 +111,7 @@ class TestArrayPartition:
             cells = p.cells
             assert [c.id for c in cells] == list(p.ids) == list(range(len(cells)))
             assert list(p.status) == [c.status for c in cells]
-            assert list(p.status) == [bo.classify_cell(c.box, m) for c in cells]
+            assert list(p.status) == [classify(c.box, m) for c in cells]
             assert list(p.status) == [reference_status(c.box, m) for c in cells]
             corner_sums_one += sum(float(c.box.lo.sum()) == 1.0 for c in cells)
             truncated += sum(bool(np.any(c.box.hi - c.box.lo < 0.2)) for c in cells)
@@ -143,25 +148,25 @@ class TestArrayPartition:
 class TestClassifyCell:
     def test_shaded_cell_is_bad(self, mdp3):
         box = bo.IntervalBox(lo=np.array([0.0, 0.6]), hi=np.array([0.2, 0.8]))
-        assert bo.classify_cell(box, mdp3) == bo.BAD
+        assert classify(box, mdp3) == bo.BAD
 
     def test_initial_cell_is_safe(self, mdp3):
         box = bo.IntervalBox(lo=np.array([0.2, 0.0]), hi=np.array([0.4, 0.2]))
-        assert bo.classify_cell(box, mdp3) == bo.SAFE
+        assert classify(box, mdp3) == bo.SAFE
 
     def test_outside_simplex_is_excluded(self, mdp3):
         box = bo.IntervalBox(lo=np.array([0.8, 0.2]), hi=np.array([1.0, 0.4]))
-        assert bo.classify_cell(box, mdp3) == bo.EXCLUDED
+        assert classify(box, mdp3) == bo.EXCLUDED
 
     def test_corner_mass_exactly_at_threshold_is_safe(self, mdp3):
         box = bo.IntervalBox(lo=np.array([0.3, 0.3]), hi=np.array([0.4, 0.4]))
-        assert bo.classify_cell(box, mdp3) == bo.SAFE  # 0.8 is not > 0.8
+        assert classify(box, mdp3) == bo.SAFE  # 0.8 is not > 0.8
 
     def test_requires_canonical_order(self):
         m = bo.Mdp(states=("x", "y"), pi0=np.array([0.5, 0.5]), actions=("a",),
                    trans={"a": np.eye(2)}, secret=frozenset({1}), threshold=0.5)
         with pytest.raises(ValueError, match="canonically ordered"):
-            bo.classify_cell(bo.IntervalBox(lo=np.zeros(1), hi=np.ones(1)), m)
+            classify(bo.IntervalBox(lo=np.zeros(1), hi=np.ones(1)), m)
 
     def test_enlarging_never_flips_bad_to_safe(self, mdp3):
         rng = np.random.default_rng(31)
@@ -172,8 +177,8 @@ class TestClassifyCell:
             bigger = bo.IntervalBox(
                 lo=np.maximum(box.lo - grow, 0.0), hi=np.minimum(box.hi + grow, 1.0)
             )
-            if bo.classify_cell(box, mdp3) == bo.BAD:
-                assert bo.classify_cell(bigger, mdp3) != bo.SAFE
+            if classify(box, mdp3) == bo.BAD:
+                assert classify(bigger, mdp3) != bo.SAFE
 
     def test_non_excluded_cells_touch_the_domain(self, partition3):
         for c in partition3.cells:
@@ -209,9 +214,12 @@ class TestLocateCell:
         with pytest.raises(ValueError):
             bo.locate_cell(np.array([1.2, 0.0]), partition3)
 
-    def test_rejects_points_outside_domain(self, partition3):
-        with pytest.raises(ValueError):
-            bo.locate_cell(np.array([0.9, 0.9]), partition3)
+    def test_rejects_points_outside_domain(self, mdp3, partition3):
+        refined = bo.refine_initial(bo.build_grid(0.5, mdp3), bo.reduce_belief(mdp3.pi0), mdp3)
+        assert refined.splits
+        for p in (partition3, refined):
+            with pytest.raises(ValueError, match="outside the belief domain"):
+                bo.locate_cell(np.array([0.9, 0.9]), p)
 
     @pytest.mark.parametrize("v, clamped", [(-5e-10, 0.0), (1.0 + 5e-10, 1.0)])
     def test_coordinates_just_outside_the_box_are_clamped(self, partition3, v, clamped):
