@@ -229,7 +229,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="override the model's opacity threshold")
         sp.add_argument("--widths", required=widths_required, default=None,
                         help="comma-separated grid widths (one value is broadcast)")
-        sp.add_argument("--overlap", choices=("strict", "closed"), default="strict")
+        sp.add_argument("--overlap", choices=("strict", "closed"), default="strict",
+                        help="box-overlap rule: strict (the default) is the paper's reading "
+                             "and can miss moves of beliefs on cell faces; closed does not")
         sp.add_argument("--out", default="out", help="output directory")
 
     sp = sub.add_parser("validate", help="parse and validate a model document")

@@ -100,8 +100,46 @@ class Partition:
 
     @cached_property
     def _axes(self) -> tuple[tuple[tuple[float, ...], int], ...]:
-        """Per axis, the grid edges and the number of grid cells."""
-        return tuple((edges, len(edges) - 1) for edges in self.grid_edges)
+        """Per axis, the inner grid edges and the number of grid cells: a
+        coordinate v in [0, 1] lies in the half-open grid cell
+        ``bisect_right(inner, v)``, and 1.0 in the last one."""
+        return tuple((edges[1:-1], len(edges) - 1) for edges in self.grid_edges)
+
+    @cached_property
+    def _fast(self):
+        """The fast exit of :func:`_locate`: the id of the cell owning a list
+        of ``dim`` floats, or -1 where :func:`_search` must decide.
+
+        x's half-open grid cell, when unsplit and not excluded, wins
+        outright if no grid cell is split (every other candidate's lower
+        corner is componentwise no larger) or if x lies on none of its lower
+        faces (it is then the only candidate).  Points outside [0, 1] on
+        some axis, NaN included, get -1.  The closure holds the partition's
+        tables, not the partition, so caching it makes no reference cycle.
+        """
+        axes, status, splits = self._axes, self.status, self.splits
+        if not splits:  # an unsplit grid cell's id is its grid index and its row
+            def fast(xs: list) -> int:
+                idx = 0
+                for v, (inner, n_k) in zip(xs, axes):
+                    if not 0.0 <= v <= 1.0:
+                        return -1
+                    idx = idx * n_k + bisect_right(inner, v)
+                return idx if status[idx] != EXCLUDED else -1
+            return fast
+        rows = self._rows
+
+        def fast_split(xs: list) -> int:
+            idx = 0
+            for v, (inner, n_k) in zip(xs, axes):
+                if not 0.0 <= v <= 1.0:
+                    return -1
+                i = bisect_right(inner, v)
+                if i and inner[i - 1] == v:  # on a lower face of x's grid cell
+                    return -1
+                idx = idx * n_k + i
+            return idx if idx not in splits and status[rows[idx]] != EXCLUDED else -1
+        return fast_split
 
     @cached_property
     def _grid_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -221,32 +259,12 @@ def locate_cell(x, p: Partition) -> int:
 
 
 def _locate(xs: list, p: Partition) -> int:
-    """:func:`locate_cell` on a list of exactly ``p.dim`` floats.
-
-    The fast exit bisects each coordinate into the grid edges: x's half-open
-    grid cell, when unsplit and not excluded, wins outright if no grid cell
-    is split (every other candidate's lower corner is componentwise no
-    larger) or if x lies on none of its lower faces (it is then the only
-    candidate).  Every other point (one outside [0, 1] on some axis, NaN
-    included, in a split or excluded grid cell, or on a lower face of a
-    refined grid) goes to :func:`_search`, which runs the one grid search,
-    :func:`overlapping_cells`, on the point.
-    """
-    idx = 0
-    on_face = False
-    for v, (edges, n_k) in zip(xs, p._axes):
-        if not 0.0 <= v <= 1.0:
-            return _search(xs, p)
-        i = bisect_right(edges, v) - 1
-        if i >= n_k:  # coordinate exactly 1.0 belongs to the last cell
-            i = n_k - 1
-        if i and edges[i] == v:
-            on_face = True
-        idx = idx * n_k + i
-    splits = p.splits
-    if not (splits and (on_face or idx in splits)) and p.status[p._rows[idx]] != EXCLUDED:
-        return idx
-    return _search(xs, p)
+    """:func:`locate_cell` on a list of exactly ``p.dim`` floats: the
+    partition's bound fast exit (see ``Partition._fast``), or else
+    :func:`_search`, which runs the one grid search,
+    :func:`overlapping_cells`, on the point."""
+    cell = p._fast(xs)
+    return cell if cell >= 0 else _search(xs, p)
 
 
 def _search(xs: list, p: Partition) -> int:

@@ -21,11 +21,12 @@ Both routes read the pruned automaton's edge arrays (see
 :class:`~.model.Nfa`): the fixpoint R walks ``offsets`` and ``dst`` by
 state index, the edit view's outputs come from the per-state enabled
 actions, and :func:`edit_to_dot` groups the sorted edges by source.
-:meth:`EditEngine.step` costs one bound ``ndarray.dot`` per step, one cell
-location and one hashed check: that the observer's new cell is in
-delta(q, output) is one lookup in a set of int keys built from the edge
-arrays, and the engine carries the current cell's index from step to step;
-neither route reads the derived ``delta`` mapping.
+:meth:`EditEngine.step` is table-driven: one dict lookup picks the output,
+one bound ``ndarray.dot`` advances the belief, the partition's bound grid
+fast exit locates it, and one dict lookup per (state, output) slot checks
+that the new cell is in delta(q, output) and gives its index, which the
+engine carries from step to step.  The tables are built from the edge
+arrays on first use; neither route reads the derived ``delta`` mapping.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .abstraction import _FINER_PARTITION_HINT, _dot
 from .dynamics import reduce_belief
 from .model import Mdp, Nfa, _state_key, mdp_to_nfa
-from .partition import Partition, _locate, locate_cell
+from .partition import Partition, _search, locate_cell
 
 __all__ = [
     "InitialStatePrunedError",
@@ -347,13 +348,30 @@ class EditAutomaton:
                          for actual in self.alphabet)
 
     @cached_property
-    def _moves(self) -> frozenset[int]:
-        """Every pruned edge (q, output, q') as the int key ``slot * n + j``
-        over the edge arrays: ``slot = i * K + k`` for the indices i of q in
-        ``pruned.order`` and k of output in the alphabet, and j of q'."""
+    def _choices(self) -> dict[str, list[dict[str, int]]]:
+        """Per deterministic strategy, per state index i in ``pruned.order``,
+        the row mapping each real action to its output's alphabet index
+        (None at a state without outputs); states with the same enabled
+        actions share one row."""
         t = self.pruned
-        slot = np.repeat(np.arange(len(t.offsets) - 1), np.diff(t.offsets))
-        return frozenset((slot * len(t.order) + t.dst).tolist())
+        symbol = dict(zip(t.alphabet, range(len(t.alphabet))))
+        lex, match = {}, {}
+        for outputs in set(t._enabled):
+            first = symbol[outputs[0]] if outputs else None
+            lex[outputs] = dict.fromkeys(t.alphabet, first)
+            match[outputs] = {a: symbol[a] if a in outputs else first for a in t.alphabet}
+        return {"lex-first": [lex[o] for o in t._enabled],
+                "match-if-safe": [match[o] for o in t._enabled]}
+
+    @cached_property
+    def _successors(self) -> list[dict]:
+        """Per slot ``i * K + k`` over the edge arrays (state index i in
+        ``pruned.order``, output index k in the alphabet), delta(q, output)
+        as a dict from each target cell to its index in ``pruned.order``."""
+        t = self.pruned
+        offsets, dst, order = t.offsets.tolist(), t.dst.tolist(), t.order
+        return [{order[j]: j for j in dst[first:last]}
+                for first, last in zip(offsets, offsets[1:])]
 
     def outputs(self, q, actual: str) -> tuple[str, ...]:
         """Outputs available at q for the given real action, in action order."""
@@ -379,13 +397,13 @@ class EditEngine:
 
     Tracks the exact observer belief induced by the *output* actions; the
     abstract state is always the cell of that belief, which is how the
-    nondeterminism of the automaton is resolved.  A step costs one bound
-    ``ndarray.dot`` of the output action's matrix with the belief, one cell
-    location and one hashed check that the new cell is in delta(q, output).
-    The engine carries the current cell as its index in ``pruned.order``, so
-    no step looks the cell up; ``current_cell`` reads it back.  The tables a
-    step reads are built once per automaton and cached on it, except the
-    per-action table of bound updates, so a fresh engine per stream is cheap.
+    nondeterminism of the automaton is resolved.  A step costs one dict
+    lookup for the output (uniform-random draws it), one bound
+    ``ndarray.dot``, one call of the partition's grid fast exit, and one
+    dict lookup that checks that the new cell is in delta(q, output) and
+    gives its index in ``pruned.order``, which the engine carries;
+    ``current_cell`` reads it back.  The tables are built on an automaton's
+    first engine and cached on it, so a new engine does no per-state work.
 
     ``seed`` seeds the uniform-random strategy; the other strategies never
     draw and create no generator.  A caller that also draws the real actions
@@ -411,17 +429,18 @@ class EditEngine:
         self.strategy = strategy
         self.rng = np.random.default_rng(seed) if strategy == "uniform-random" else None
         t = automaton.pruned
-        self._order, self._index, self._enabled = t.order, t._index, t._enabled
-        self._moves = automaton._moves
+        self._order, self._alphabet, self._enabled = t.order, t.alphabet, t._enabled
         self._symbol = dict(zip(t.alphabet, range(len(t.alphabet))))
-        # per output action: its alphabet index and the bound belief update
-        self._update = {a: (k, m.trans[a].dot) for a, k in self._symbol.items()}
-        self._k, self._n = len(t.alphabet), len(t.order)
+        self._choice = automaton._choices.get(strategy)  # None for uniform-random
+        self._successors = automaton._successors
+        self._dots = [m.trans[a].dot for a in t.alphabet]  # the bound update per output
+        self._fast = p._fast
+        self._k = len(t.alphabet)
         self.observer_belief = np.array(m.pi0, dtype=float)
         cell = locate_cell(reduce_belief(self.observer_belief), p)
         if cell not in automaton.states:
             raise ValueError(f"initial belief cell {cell} is not a state of the edit automaton")
-        self._i = self._index[cell]  # the current cell's index in pruned.order
+        self._i = t._index[cell]  # the current cell's index in pruned.order
 
     @property
     def current_cell(self):
@@ -431,30 +450,29 @@ class EditEngine:
     def step(self, actual: str) -> str:
         """Rewrite one real action and advance the observer belief."""
         i = self._i
-        outputs = self._enabled[i] if actual in self._symbol else ()
-        if not outputs:
+        if self._choice is not None:
+            k = self._choice[i].get(actual)
+        else:
+            outputs = self._enabled[i] if actual in self._symbol else ()
+            k = self._symbol[outputs[int(self.rng.integers(len(outputs)))]] if outputs else None
+        if k is None:
             raise EditUndefinedError(
                 f"no output defined at cell {self._order[i]} for action {actual!r}")
-        if self.strategy == "lex-first":
-            out = outputs[0]
-        elif self.strategy == "match-if-safe":
-            out = actual if actual in outputs else outputs[0]
-        else:
-            out = outputs[int(self.rng.integers(len(outputs)))]
-        k, update = self._update[out]
         # a new array, not an update in place: traces keep every belief
-        belief = self.observer_belief = update(self.observer_belief)
+        belief = self.observer_belief = self._dots[k](self.observer_belief)
         xs = belief.tolist()
         del xs[-1]
-        cell = _locate(xs, self.partition)
-        j = self._index.get(cell)
-        if j is None or (i * self._k + k) * self._n + j not in self._moves:
+        cell = self._fast(xs)
+        if cell < 0:
+            cell = _search(xs, self.partition)
+        j = self._successors[i * self._k + k].get(cell)
+        if j is None:
             raise EditUndefinedError(
                 f"observer belief moved to cell {cell}, which the edit automaton does not "
-                f"cover from cell {self._order[i]} on {out!r}"
+                f"cover from cell {self._order[i]} on {self._alphabet[k]!r}"
             )
         self._i = j
-        return out
+        return self._alphabet[k]
 
 
 @dataclass(frozen=True)

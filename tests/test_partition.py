@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import belief_opacity as bo
-from conftest import random_mdp, scan_locate
+from conftest import THREE_STATE_DOC, random_mdp, scan_locate
 
 
 def two_state_model(secret_first=True, lam=0.8, pi0=(0.75, 0.25)):
@@ -404,6 +404,63 @@ class TestLocateMatchesScan:
             except ValueError:
                 got = None
             assert got == scan_locate(x, p), x
+
+
+def located(locate, xs, p):
+    try:
+        return locate(xs, p)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def edge_partitions():
+    """Unsplit and refined grids of two and three reduced dimensions, one
+    with widths that do not divide 1."""
+    m3 = bo.parse_model(THREE_STATE_DOC)
+    refined3 = replace(m3, pi0=np.array([0.5, 0.29, 0.21]))
+    m4 = random_mdp(np.random.default_rng(100), 4)
+    cases = {
+        "width 0.2": bo.build_grid(0.2, m3),
+        "widths 0.3, 0.15": bo.build_grid([0.3, 0.15], m3),
+        "refined reference": bo.refine_initial(bo.build_grid(0.02, refined3),
+                                               bo.reduce_belief(refined3.pi0), refined3),
+        "refined N = 4": bo.refine_initial(bo.build_grid(0.1, m4), bo.reduce_belief(m4.pi0), m4),
+    }
+    assert not cases["widths 0.3, 0.15"].splits and cases["refined N = 4"].splits
+    return cases
+
+
+EDGE_PARTITIONS = edge_partitions()
+
+
+class TestLocateEdges:
+    """The fast exit settles a point without the search only where the
+    search would give the same cell or error."""
+
+    @pytest.mark.parametrize("case", EDGE_PARTITIONS)
+    def test_edges_and_the_unit_box_boundary(self, case):
+        p = EDGE_PARTITIONS[case]
+        search = bo.partition._search
+        axes = []
+        for k, e in enumerate(p.grid_edges):
+            # every grid edge (1.0 included), the split lines, 1e-10 on either
+            # side of 0 and 1, and 1e-8 outside, beyond the clamp's tolerance
+            values = set(e) | {float(v) for c in p.cells for v in (c.box.lo[k], c.box.hi[k])}
+            values |= {-1e-10, 1e-10, 1.0 - 1e-10, 1.0 + 1e-10, -1e-8, 1.0 + 1e-8}
+            axes.append(sorted(values))
+        for xs in itertools.product(*axes):
+            xs = list(xs)
+            assert located(bo.locate_cell, xs, p) == located(search, xs, p), xs
+
+    @pytest.mark.parametrize("case", EDGE_PARTITIONS)
+    def test_nan_raises_the_search_error(self, case):
+        p = EDGE_PARTITIONS[case]
+        for k in range(p.dim):
+            xs = [0.0] * p.dim
+            xs[k] = math.nan
+            expected = located(bo.partition._search, xs, p)
+            assert expected.startswith("ValueError: point [")
+            assert located(bo.locate_cell, xs, p) == expected
 
 
 class TestExports:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -669,6 +671,167 @@ class TestEngineReplay:
         bo.simulate_edited(mdp3, partition3, ea, ["a2"] * 10, 10)
         assert bo.verify_edit_requirements(ea, mdp3, partition3, depth=3).ok
         assert "delta" not in pruned.__dict__
+
+
+class NaiveEngine:
+    """The edit step from public pieces: the output by the strategy's rule
+    over ``ea.outputs`` (uniform-random draws as the engine does, from the
+    same seed), the belief by ``H @ b``, its cell by :func:`locate_cell`, and
+    the move checked against ``pruned.successors``.  Failures raise the
+    engine's messages; a move the automaton does not cover still advances
+    the belief, as the engine's does."""
+
+    def __init__(self, m, p, ea, strategy, seed):
+        self.m, self.p, self.ea, self.strategy = m, p, ea, strategy
+        self.rng = np.random.default_rng(seed)
+        self.belief = np.array(m.pi0, dtype=float)
+        self.cell = bo.locate_cell(bo.reduce_belief(self.belief), p)
+
+    def step(self, actual):
+        q = self.cell
+        outputs = self.ea.outputs(q, actual)
+        if not outputs:
+            raise bo.EditUndefinedError(f"no output defined at cell {q} for action {actual!r}")
+        if self.strategy == "lex-first":
+            out = outputs[0]
+        elif self.strategy == "match-if-safe":
+            out = actual if actual in outputs else outputs[0]
+        else:
+            out = outputs[int(self.rng.integers(len(outputs)))]
+        self.belief = self.m.trans[out] @ self.belief
+        cell = bo.locate_cell(self.belief[:-1], self.p)
+        if cell not in self.ea.pruned.successors(q, out):
+            raise bo.EditUndefinedError(
+                f"observer belief moved to cell {cell}, which the edit automaton does not "
+                f"cover from cell {q} on {out!r}")
+        self.cell = cell
+        return out
+
+
+def outcome(step, actual):
+    try:
+        return step(actual)
+    except bo.EditUndefinedError as exc:
+        return f"EditUndefinedError: {exc}"
+
+
+def assert_steps_match(m, p, ea, reals, seed=0):
+    """The engine and :class:`NaiveEngine` agree under every strategy, step
+    by step: output or error message, belief bytes and current cell."""
+    for strategy in bo.STRATEGIES:
+        engine = bo.EditEngine(m, p, ea, strategy=strategy, seed=seed)
+        naive = NaiveEngine(m, p, ea, strategy, seed)
+        assert engine.current_cell == naive.cell
+        for actual in reals:
+            assert outcome(engine.step, actual) == outcome(naive.step, actual), strategy
+            assert engine.observer_belief.tobytes() == naive.belief.tobytes()
+            assert engine.current_cell == naive.cell
+
+
+def random_stream(m, seed, length, foreign_at=()):
+    """Seeded real actions of ``m``, with the name "zz", in no alphabet, at
+    the given positions."""
+    reals = [m.actions[k] for k in
+             np.random.default_rng(seed).integers(len(m.actions), size=length).tolist()]
+    for t in foreign_at:
+        reals[t] = "zz"
+    return reals
+
+
+def edit_setup(m, width):
+    """Grid (refined when the initial cell is bad) and edit automaton."""
+    x0 = bo.reduce_belief(m.pi0)
+    p = bo.build_grid(width, m)
+    if p.cell(bo.locate_cell(x0, p)).status == bo.BAD:
+        p = bo.refine_initial(p, x0, m)
+    return p, bo.build_edit_automaton(bo.abstract(m, p).pruned)
+
+
+class TestStepDifferential:
+    @pytest.mark.parametrize("case", ["width 0.2", "width 0.015", "refined reference"])
+    def test_reference_model(self, mdp3, case):
+        m, width = mdp3, 0.2 if case == "width 0.2" else 0.015
+        if case == "refined reference":
+            m, width = replace(mdp3, pi0=np.array([0.5, 0.29, 0.21])), 0.02
+        p, ea = edit_setup(m, width)
+        assert bool(p.splits) == (case == "refined reference")
+        for seed in range(3):
+            assert_steps_match(m, p, ea, random_stream(m, seed, 200, foreign_at=(50,)), seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5))
+    def test_random_models(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = random_mdp(rng, n)
+        m = replace(m, threshold=min(1.0, m.secret_mass(m.pi0) + float(rng.uniform(0.0, 0.6))))
+        try:
+            p, ea = edit_setup(m, {3: 0.05, 4: 0.1, 5: 0.2}[n])
+        except (bo.InitialCellPrunedError, bo.RefinementFailedError):
+            return
+        assert_steps_match(m, p, ea, random_stream(m, seed, 100, foreign_at=(7,)), seed % 5)
+
+    def test_action_outside_the_alphabet(self, mdp3, partition3, abstraction3):
+        ea = bo.build_edit_automaton(abstraction3.pruned)
+        engine = bo.EditEngine(mdp3, partition3, ea)
+        with pytest.raises(bo.EditUndefinedError, match="no output defined at cell .* 'a3'"):
+            engine.step("a3")
+        assert engine.current_cell == abstraction3.initial_cell
+        assert_steps_match(mdp3, partition3, ea, ["a3", "a1", "a3", "a2"])
+
+    @pytest.mark.parametrize("broken", ["edge removed", "state removed"])
+    def test_move_the_automaton_does_not_cover(self, mdp3, partition3, abstraction3, broken):
+        # the set-ups of TestEditEngine's two "does not cover" tests
+        t = abstraction3.pruned
+        q0 = abstraction3.initial_cell
+        moved = bo.EditEngine(mdp3, partition3, bo.build_edit_automaton(t))
+        moved.step("a1")
+        moved = moved.current_cell
+        if broken == "edge removed":
+            states = t.states
+            delta = dict(t.delta)
+            delta[(q0, "a1")] = t.successors(q0, "a1") - {moved}
+        else:
+            states = t.states - {moved}
+            delta = {key: targets - {moved} for key, targets in t.delta.items()
+                     if key[0] != moved}
+        ea = bo.EditAutomaton(
+            pruned=bo.Nfa(states=states, alphabet=t.alphabet, delta=delta, initial=t.initial),
+            initial=q0,
+        )
+        engine = bo.EditEngine(mdp3, partition3, ea)
+        with pytest.raises(bo.EditUndefinedError, match=f"cell {moved}, .*does not cover"):
+            engine.step("a1")
+        assert_steps_match(mdp3, partition3, ea, ["a1", "a2", "a1"])
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("case", ["grid", "refined reference"])
+    def test_partition_and_automaton_die_with_their_last_reference(self, mdp3, case):
+        # the tables and the locator closure cached on a partition or an
+        # automaton must not refer back to it: a cycle would keep a model's
+        # arrays alive until the next collection, under the next model's peak
+        m, width = mdp3, 0.2
+        if case == "refined reference":
+            m, width = replace(mdp3, pi0=np.array([0.5, 0.29, 0.21])), 0.02
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            p, ea = edit_setup(m, width)
+            r = bo.prune_blocking(bo.restrict_actions(m, ea.pruned))
+            bo.synthesize_reach_policy(r, {m.states[-1]})
+            for strategy in bo.STRATEGIES:
+                engine = bo.EditEngine(m, p, ea, strategy=strategy)
+                for actual in ("a1", "a2", "a1", "a1"):
+                    engine.step(actual)
+            bo.locate_cell([1.0, 0.0], p)
+            refs = [weakref.ref(p), weakref.ref(ea), weakref.ref(ea.pruned)]
+            assert "_fast" in p.__dict__ and "_successors" in ea.__dict__
+            del p, ea, r, engine
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestVerifyEditRequirements:
