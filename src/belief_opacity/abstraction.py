@@ -75,9 +75,13 @@ class PruneEvent:
 @dataclass(frozen=True)
 class AbstractionResult:
     nfa: Nfa
-    initial_cell: int
     pruned: Nfa
     log: tuple[PruneEvent, ...]
+
+    @property
+    def initial_cell(self) -> int:
+        """The one initial state of ``nfa``: the cell of the initial belief."""
+        return next(iter(self.nfa.initial))
 
 
 def build_abstraction(m: Mdp, p: Partition, overlap_mode: str = "strict") -> Nfa:
@@ -217,9 +221,8 @@ def _delete(nfa: Nfa, slot, disabled, left, queue: deque, events: list, initial)
 def abstract(m: Mdp, p: Partition, overlap_mode: str = "strict") -> AbstractionResult:
     """Build the abstraction and prune it in one step."""
     nfa = build_abstraction(m, p, overlap_mode=overlap_mode)
-    initial_cell = next(iter(nfa.initial))
-    pruned, log = prune(nfa, initial_cell)
-    return AbstractionResult(nfa=nfa, initial_cell=initial_cell, pruned=pruned, log=log)
+    pruned, log = prune(nfa, next(iter(nfa.initial)))
+    return AbstractionResult(nfa=nfa, pruned=pruned, log=log)
 
 
 _EDGE_STYLES = ("solid", "dashed", "dotted", "bold")

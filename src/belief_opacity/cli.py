@@ -84,7 +84,7 @@ def _load_validated(args):
     report = validate_mdp(m)
     if not report.ok:
         raise _ValidationFailed(report)
-    if getattr(args, "lambda_override", None) is not None:
+    if args.lambda_override is not None:
         lam = args.lambda_override
         if not 0.0 <= lam <= 1.0:
             raise ModelFormatError(f"--lambda must lie in [0, 1], got {lam}")

@@ -438,12 +438,13 @@ def load_model(path) -> Mdp:
     return parse_model(text)
 
 
-def validate_mdp(m: Mdp, tol: float = 1e-9) -> ValidationReport:
+def validate_mdp(m: Mdp) -> ValidationReport:
     """Check the numeric model axioms. Never raises; failures go in the report.
 
-    The stochasticity tolerance is configurable; no renormalization is ever
-    applied, a column off by more than ``tol`` is an error.
+    Entries and sums are checked to an absolute tolerance of 1e-9; no
+    renormalization is ever applied, a column off by more is an error.
     """
+    tol = 1e-9
     issues: list[Issue] = []
 
     def err(message, location):

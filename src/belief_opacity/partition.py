@@ -84,7 +84,6 @@ class Partition:
     hi: np.ndarray
     status: tuple[str, ...]
     ids: tuple[int, ...]
-    dim: int
     grid_edges: tuple[tuple[float, ...], ...]
     splits: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
@@ -93,6 +92,10 @@ class Partition:
         object.__setattr__(self, "hi", _freeze(self.hi).reshape(-1, self.dim))
         object.__setattr__(self, "status", tuple(self.status))
         object.__setattr__(self, "ids", tuple(self.ids))
+
+    @property
+    def dim(self) -> int:
+        return len(self.grid_edges)
 
     @cached_property
     def _rows(self) -> dict[int, int]:
@@ -234,7 +237,6 @@ def build_grid(widths, m: Mdp) -> Partition:
         hi=hi,
         status=_classify(lo, hi, m),
         ids=range(len(lo)),
-        dim=dim,
         grid_edges=tuple(tuple(e.tolist()) for e in edges),
     )
 
@@ -407,7 +409,6 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp) -> Partition:
         hi=np.concatenate([np.delete(p.hi, first, axis=0), new_hi]),
         status=p.status[:first] + p.status[first + 1:] + new_status,
         ids=p.ids[:first] + p.ids[first + 1:] + tuple(added),
-        dim=p.dim,
         grid_edges=p.grid_edges,
         splits={**p.splits, g: kept + tuple(added)},
     )

@@ -160,7 +160,8 @@ def soundness_check(
     10**4 of them, otherwise ``samples`` random ones.  For each sequence the
     exact belief trajectory is located cell by cell; a concrete move the
     automaton lacks is reported.  Once the belief enters a bad cell the
-    abstraction makes no further claims and the sequence stops.
+    abstraction makes no further claims and the sequence stops.  An initial
+    cell that is not initial in the automaton is reported before any run.
     """
     n_actions = len(m.actions)
     if n_actions**depth <= 10_000:
@@ -171,16 +172,14 @@ def soundness_check(
         sequences = (tuple(itertools.islice(stream, depth)) for _ in range(samples))
         total = samples
 
-    violations = []
     initial_cell = locate_cell(reduce_belief(m.pi0), p)
+    if initial_cell not in raw_t.initial:
+        violation = SoundnessViolation((), 0, initial_cell, "", initial_cell,
+                                       "initial cell is not an initial abstraction state")
+        return SoundnessReport(sequences_checked=0, violations=(violation,))
+    violations = []
     for seq in sequences:
         seq = tuple(seq)
-        if initial_cell not in raw_t.initial:
-            violations.append(
-                SoundnessViolation(seq, 0, initial_cell, "", initial_cell,
-                                   "initial cell is not an initial abstraction state")
-            )
-            break
         belief = np.array(m.pi0, dtype=float)
         cell = initial_cell
         for step, a in enumerate(seq, start=1):
@@ -213,21 +212,18 @@ def brute_reach_box(
 ) -> IntervalBox:
     """Sampled inner approximation of the one-step image of ``box``.
 
-    Evaluates the exact reduced update on a seeded low-discrepancy sample of
-    the box intersected with the belief domain, plus every box corner inside
-    the domain, and returns the componentwise min/max envelope.  The result
-    is always contained in the two-corner bound.
+    Evaluates the exact reduced update on ``samples`` seeded uniform points
+    of the box, plus every box corner, keeps those inside the belief domain,
+    and returns the componentwise min/max envelope of their images.  The
+    result is always contained in the two-corner bound.
     """
-    # SciPy takes most of the package's import time and only this needs it.
-    from scipy.stats import qmc
-
     if samples < 1:
         raise ValueError("samples must be at least 1")
     corners = box.corners()
     if np.all(box.hi - box.lo == 0.0):
         points = box.lo[None, :]
     else:
-        unit = qmc.Halton(d=box.dim, scramble=True, seed=seed).random(samples)
+        unit = np.random.default_rng(seed).random((samples, box.dim))
         points = box.lo + unit * (box.hi - box.lo)
         points = np.vstack([points, corners])
     keep = (points >= 0.0).all(axis=1) & (points.sum(axis=1) <= 1.0)

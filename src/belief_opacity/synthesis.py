@@ -331,7 +331,11 @@ class EditAutomaton:
     """
 
     pruned: Nfa
-    initial: object
+
+    @property
+    def initial(self):
+        """The smallest initial state of the pruned abstraction."""
+        return min(self.pruned.initial, key=_state_key)
 
     @property
     def states(self) -> frozenset:
@@ -389,7 +393,7 @@ def build_edit_automaton(pruned_t: Nfa) -> EditAutomaton:
     """
     if not pruned_t.states:
         raise ValueError("pruned abstraction is empty")
-    return EditAutomaton(pruned=pruned_t, initial=min(pruned_t.initial, key=_state_key))
+    return EditAutomaton(pruned=pruned_t)
 
 
 class EditEngine:
@@ -506,15 +510,14 @@ def verify_edit_requirements(
     p: Partition,
     depth: int,
     support: Nfa | None = None,
-    seed: int = 0,
 ) -> EditVerifyReport:
     """Bounded-exhaustive check of the three edit-function requirements.
 
     Runs every real-action sequence up to ``depth`` through the engine under
     each of :data:`STRATEGIES` and checks that an output is always defined,
     that the output word stays within the support automaton's language, and
-    that the observer's secret mass never exceeds the threshold.  The cost grows as
-    ``|actions| ** depth``.
+    that the observer's secret mass never exceeds the threshold.  The engine
+    of sequence i is seeded ``(0, i)``; the cost grows as ``|actions| ** depth``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -531,7 +534,7 @@ def verify_edit_requirements(
 
     for strategy in STRATEGIES:
         for seq_idx, seq in enumerate(itertools.product(m.actions, repeat=depth)):
-            engine = EditEngine(m, p, ea, strategy=strategy, seed=(seed, seq_idx))
+            engine = EditEngine(m, p, ea, strategy=strategy, seed=(0, seq_idx))
             current = set(support.initial)
             checked += 1
             for step, actual in enumerate(seq, start=1):

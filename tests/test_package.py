@@ -6,6 +6,7 @@ import inspect
 import pkgutil
 import types
 from dataclasses import fields
+from pathlib import Path
 
 import belief_opacity as bo
 
@@ -36,3 +37,15 @@ def test_removed_names_stay_removed():
     assert not hasattr(bo.Mdp, "action_index")
     assert "action" not in {f.name for f in fields(bo.AffineDecomposition)}
     assert list(inspect.signature(bo.refine_initial).parameters) == ["p", "x0", "m"]
+    assert "tol" not in inspect.signature(bo.validate_mdp).parameters
+    assert "seed" not in inspect.signature(bo.verify_edit_requirements).parameters
+    # fields that repeated another are derived, read-only attributes
+    for cls, name in ((bo.Partition, "dim"), (bo.AbstractionResult, "initial_cell"),
+                      (bo.EditAutomaton, "initial")):
+        assert name not in {f.name for f in fields(cls)}
+        assert isinstance(getattr(cls, name), property)
+
+
+def test_runtime_dependencies_leave_out_scipy():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert "scipy" not in pyproject.lower()

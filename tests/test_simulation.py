@@ -202,6 +202,18 @@ class TestSoundnessCheck:
         assert [v.sequence for v in report.violations] == expected
         assert {v.step for v in report.violations} == {1}
 
+    @pytest.mark.parametrize("depth", [3, 14])  # exhaustive, sampled
+    def test_initial_cell_missing_from_the_initial_states(self, mdp3, partition3, depth):
+        # the check runs before any sequence, so the report names none
+        raw = bo.build_abstraction(mdp3, partition3, overlap_mode="closed")
+        initial = bo.locate_cell(bo.reduce_belief(mdp3.pi0), partition3)
+        other = min(raw.states - raw.initial - {bo.BAD_STATE})
+        wrong = bo.Nfa(states=raw.states, alphabet=raw.alphabet, delta=raw.delta,
+                       initial={other})
+        report = bo.soundness_check(mdp3, partition3, wrong, depth=depth, samples=20)
+        assert report == bo.SoundnessReport(0, (bo.SoundnessViolation(
+            (), 0, initial, "", initial, "initial cell is not an initial abstraction state"),))
+
     def test_depth_zero_is_trivially_sound(self, mdp3, partition3):
         raw = bo.build_abstraction(mdp3, partition3, overlap_mode="closed")
         assert bo.soundness_check(mdp3, partition3, raw, depth=0, samples=1).ok
@@ -317,9 +329,27 @@ class TestTraceCsv:
         assert lines[2].startswith("1,a1,a1,")
 
 
-def test_import_leaves_scipy_unloaded():
-    # SciPy is loaded on first use by brute_reach_box, not at package import:
-    # it was most of the package's import time, and so of every CLI start-up
+def test_package_runs_without_scipy():
+    # NumPy and PyYAML are the only runtime dependencies: with SciPy unimportable
+    # the package imports and its sampled oracle runs, seed-deterministically
     src = str(Path(bo.__file__).resolve().parents[1])
-    code = "import sys, belief_opacity; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    code = """if True:
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import belief_opacity as bo
+        m = bo.load_model(sys.argv[1])
+        d = bo.decomposition(m, "a2")
+        # the corner (0.7, 0.7) lies outside the domain, so the samples matter
+        box = bo.IntervalBox(lo=np.full(2, 0.2), hi=np.full(2, 0.7))
+        inner = bo.brute_reach_box(d, box, samples=500, seed=9)
+        assert inner == bo.brute_reach_box(d, box, samples=500, seed=9)
+        assert inner != bo.brute_reach_box(d, box, samples=500, seed=10)
+        outer = bo.reach_box(d, box)
+        assert (inner.lo >= outer.lo - 1e-12).all() and (inner.hi <= outer.hi + 1e-12).all()
+        assert "scipy" not in {name.partition(".")[0] for name in sys.modules
+                               if sys.modules[name] is not None}
+    """
+    model = Path(__file__).parents[1] / "demos" / "models" / "three_state.yaml"
+    subprocess.run([sys.executable, "-c", code, str(model)], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

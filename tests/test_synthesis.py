@@ -526,11 +526,8 @@ class TestEditEngine:
         delta = dict(t.delta)
         delta[(q0, "a1")] = t.successors(q0, "a1") - {moved}
         assert delta[(q0, "a1")] and moved in t.states
-        broken = bo.EditAutomaton(
-            pruned=bo.Nfa(states=t.states, alphabet=t.alphabet, delta=delta,
-                          initial=t.initial),
-            initial=q0,
-        )
+        broken = bo.build_edit_automaton(
+            bo.Nfa(states=t.states, alphabet=t.alphabet, delta=delta, initial=t.initial))
         engine = bo.EditEngine(mdp3, partition3, broken)
         with pytest.raises(bo.EditUndefinedError, match=f"cell {moved}, .*does not cover"):
             engine.step("a1")
@@ -545,10 +542,8 @@ class TestEditEngine:
         moved = engine.current_cell
         states = t.states - {moved}
         delta = {key: targets - {moved} for key, targets in t.delta.items() if key[0] != moved}
-        broken = bo.EditAutomaton(
-            pruned=bo.Nfa(states=states, alphabet=t.alphabet, delta=delta, initial=t.initial),
-            initial=q0,
-        )
+        broken = bo.build_edit_automaton(
+            bo.Nfa(states=states, alphabet=t.alphabet, delta=delta, initial=t.initial))
         engine = bo.EditEngine(mdp3, partition3, broken)
         with pytest.raises(bo.EditUndefinedError, match=f"cell {moved}, .*does not cover"):
             engine.step("a1")
@@ -794,10 +789,8 @@ class TestStepDifferential:
             states = t.states - {moved}
             delta = {key: targets - {moved} for key, targets in t.delta.items()
                      if key[0] != moved}
-        ea = bo.EditAutomaton(
-            pruned=bo.Nfa(states=states, alphabet=t.alphabet, delta=delta, initial=t.initial),
-            initial=q0,
-        )
+        ea = bo.build_edit_automaton(
+            bo.Nfa(states=states, alphabet=t.alphabet, delta=delta, initial=t.initial))
         engine = bo.EditEngine(mdp3, partition3, ea)
         with pytest.raises(bo.EditUndefinedError, match=f"cell {moved}, .*does not cover"):
             engine.step("a1")
@@ -866,7 +859,7 @@ class TestVerifyEditRequirements:
         stripped = bo.Nfa(states=t.states, alphabet=t.alphabet,
                           delta={k: v for k, v in t.delta.items() if k[0] != q0},
                           initial=t.initial)
-        broken = bo.EditAutomaton(pruned=stripped, initial=q0)
+        broken = bo.build_edit_automaton(stripped)
         report = bo.verify_edit_requirements(broken, mdp3, partition3, depth=2)
         assert not report.ok
         assert report.counterexample.requirement == 1
