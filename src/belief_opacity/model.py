@@ -332,6 +332,51 @@ def _as_number(v, where: str) -> float:
     return float(v)
 
 
+try:
+    from yaml.cyaml import CParser
+except ImportError:  # PyYAML built without libyaml
+    _LibyamlLoader = None
+else:
+    class _LibyamlLoader(yaml.composer.Composer, CParser, yaml.constructor.SafeConstructor,
+                         yaml.resolver.Resolver):
+        """``SafeLoader`` with libyaml's scanner and parser.
+
+        The composer stays PyYAML's own: ``CSafeLoader``'s recurses on the C
+        stack and crashes the interpreter (SIGSEGV) on a flow list nested
+        40 000 deep, where this one raises ``RecursionError`` as
+        ``SafeLoader`` does.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+            yaml.constructor.SafeConstructor.__init__(self)
+            yaml.resolver.Resolver.__init__(self)
+
+
+# libyaml reads only texts made of these characters: those of a model file
+# whose names are ASCII letters, digits and underscores, with quotes and
+# comments.  No text over them was found that the two parsers read
+# differently; outside them they were seen to (tabs, byte-order marks, tags,
+# block scalars, "?" inside a flow collection).
+_LIBYAML_TEXT = re.compile(r"[\w .,:+\-\[\]{}#'\"\n]*", re.ASCII)
+
+
+def _load_document(text: str):
+    """``yaml.safe_load(text)``, through libyaml when PyYAML has it.
+
+    The pure-Python ``SafeLoader`` decides every text libyaml might read
+    differently or fails on (libyaml words its errors differently and
+    reports other marks), so its result or exception is the one returned.
+    """
+    if _LibyamlLoader is not None and _LIBYAML_TEXT.fullmatch(text):
+        try:
+            return yaml.load(text, Loader=_LibyamlLoader)
+        except Exception:  # whatever it was, SafeLoader's outcome is the one reported
+            pass
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def parse_model(text: str) -> Mdp:
     """Parse a model document. Structural errors raise :class:`ModelFormatError`.
 
@@ -339,7 +384,7 @@ def parse_model(text: str) -> Mdp:
     secret subset) is deliberately not checked here; see :func:`validate_mdp`.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = _load_document(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

@@ -21,7 +21,7 @@ pass; :class:`PartitionCell` objects are built only on request.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -98,10 +98,6 @@ class Partition:
         return len(self.grid_edges)
 
     @cached_property
-    def _rows(self) -> dict[int, int]:
-        return dict(zip(self.ids, range(len(self.ids))))
-
-    @cached_property
     def _axes(self) -> tuple[tuple[tuple[float, ...], int], ...]:
         """Per axis, the inner grid edges and the number of grid cells: a
         coordinate v in [0, 1] lies in the half-open grid cell
@@ -120,8 +116,8 @@ class Partition:
         some axis, NaN included, get -1.  The closure holds the partition's
         tables, not the partition, so caching it makes no reference cycle.
         """
-        axes, status, splits = self._axes, self.status, self.splits
-        if not splits:  # an unsplit grid cell's id is its grid index and its row
+        axes, status = self._axes, self.status
+        if not self.splits:  # an unsplit grid cell's id is its grid index and its row
             def fast(xs: list) -> int:
                 idx = 0
                 for v, (inner, n_k) in zip(xs, axes):
@@ -130,7 +126,14 @@ class Partition:
                     idx = idx * n_k + bisect_right(inner, v)
                 return idx if status[idx] != EXCLUDED else -1
             return fast
-        rows = self._rows
+
+        # per grid cell, its status when unsplit and EXCLUDED when split:
+        # the ids below the grid's size are exactly the unsplit grid cells
+        by_grid = [EXCLUDED] * math.prod(n_k for _, n_k in axes)
+        for cell_id, s in zip(self.ids, status):
+            if cell_id < len(by_grid):
+                by_grid[cell_id] = s
+        by_grid = tuple(by_grid)
 
         def fast_split(xs: list) -> int:
             idx = 0
@@ -141,7 +144,7 @@ class Partition:
                 if i and inner[i - 1] == v:  # on a lower face of x's grid cell
                     return -1
                 idx = idx * n_k + i
-            return idx if idx not in splits and status[rows[idx]] != EXCLUDED else -1
+            return idx if by_grid[idx] != EXCLUDED else -1
         return fast_split
 
     @cached_property
@@ -149,7 +152,7 @@ class Partition:
         """Grid cell g holds the rows ``cells[start[g]:start[g + 1]]``."""
         grid = np.array(self.ids)  # an unsplit grid cell's id is its index
         for g, members in self.splits.items():
-            grid[[self._rows[cid] for cid in members]] = g
+            grid[[self.row(cid) for cid in members]] = g
         cells = np.argsort(grid, kind="stable")
         count = math.prod(len(e) - 1 for e in self.grid_edges)
         return np.searchsorted(grid[cells], np.arange(count + 1)), cells
@@ -163,11 +166,15 @@ class Partition:
         return tuple(self._cell_at(r) for r in range(len(self.ids)))
 
     def row(self, cell_id: int) -> int:
-        """Row of cell ``cell_id`` in ``lo``, ``hi``, ``status`` and ``ids``."""
-        return self._rows[cell_id]
+        """Row of cell ``cell_id`` in ``lo``, ``hi``, ``status`` and ``ids``;
+        ``KeyError`` for an id the partition does not hold."""
+        r = bisect_left(self.ids, cell_id)  # ids ascend
+        if r == len(self.ids) or self.ids[r] != cell_id:
+            raise KeyError(cell_id)
+        return r
 
     def cell(self, cell_id: int) -> PartitionCell:
-        return self._cell_at(self._rows[cell_id])
+        return self._cell_at(self.row(cell_id))
 
     def safe_cells(self) -> tuple[PartitionCell, ...]:
         return tuple(self._cell_at(r) for r, s in enumerate(self.status) if s == SAFE)

@@ -8,6 +8,10 @@ through the code under test).
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +230,11 @@ def playable_action_sequences(r: bo.RestrictedMdp, depth: int):
             yield from walk(seq, nxt)
 
     yield from walk((), initial)
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter that imports the package from this checkout."""
+    src = str(Path(bo.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, (done.returncode, done.stderr)

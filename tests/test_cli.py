@@ -36,6 +36,15 @@ class TestValidate:
         path.write_text("states: [s1,")
         assert main(["validate", "--model", str(path)]) == 2
 
+    def test_syntax_error_message(self, tmp_path, capsys):
+        # the pure-Python parser's words and mark, also where libyaml parses
+        path = tmp_path / "broken.yaml"
+        path.write_text("states: [s1,")
+        assert main(["validate", "--model", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            "error: invalid model syntax: expected the node content, but found '<stream end>' "
+            "(line 1, column 13)\n")
+
     def test_duplicate_state_names_exit_two(self, tmp_path, capsys):
         path = tmp_path / "dup.yaml"
         path.write_text(THREE_STATE_DOC.replace("states: [s1, s2, s3]", "states: [s1, s2, s2]"))

@@ -1,12 +1,15 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import belief_opacity as bo
-from conftest import H1, H2, PI0, THREE_STATE_DOC, random_mdp
+from conftest import H1, H2, PI0, THREE_STATE_DOC, random_mdp, run_fresh
 
 BAD_NAMES = ["", "x,y", "a;b", 'a"1', "a\\b", "a\nb", "a\tb", "a\x7fb", "a\x85b"]
 BAD_NAME_IDS = ["empty", "comma", "semicolon", "quote", "backslash", "newline", "tab", "delete",
@@ -125,6 +128,135 @@ class TestParse:
         for _ in range(20):
             m = random_mdp(rng, int(rng.integers(2, 5)), n_actions=int(rng.integers(1, 4)))
             assert bo.parse_model(bo.serialize_model(m)) == m
+
+
+DEMO_MODEL = Path(__file__).resolve().parents[1] / "demos" / "models" / "three_state.yaml"
+LIBYAML = bo.model._LibyamlLoader
+needs_libyaml = pytest.mark.skipif(LIBYAML is None, reason="PyYAML is built without libyaml")
+# nested documents of the scalar types a model document uses
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+# malformed documents: the message, line and column of the pure-Python parser
+MALFORMED = {
+    "unclosed-flow-list": ("states: [a, b", "expected ',' or ']', but got '<stream end>'", 1, 14),
+    "nested-mapping": ("a: b: c", "mapping values are not allowed here", 1, 5),
+    "leading-tab": ("\tstates: [a]", "found character '\\t' that cannot start any token", 1, 1),
+    "bad-indentation": ("states:\n  - a\n - b",
+                        "expected <block end>, but found '<block sequence start>'", 3, 2),
+    "unclosed-list": ("[1, 2", "expected ',' or ']', but got '<stream end>'", 1, 6),
+    "undefined-alias": ("states: *x", "found undefined alias 'x'", 1, 9),
+    # libyaml accepts a tab between tokens
+    "tab-separator": ("lambda:\t0.8", "found character '\\t' that cannot start any token", 1, 8),
+    # libyaml accepts a comment right after a block scalar's indicator
+    "block-scalar-comment": ("lambda: |#\n  0.8", "expected chomping or indentation indicators, "
+                             "but found '#'", 1, 10),
+    # libyaml reads "?" inside a flow collection as part of a plain scalar
+    "flow-question-mark": ("states: [a?b]", "expected ',' or ']', but got '?'", 1, 11),
+}
+
+
+def same_object(a, b) -> bool:
+    """Equal values of equal types, all the way down (``1 == 1.0 == True``)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def both_loaders(text: str):
+    return [yaml.load(text, Loader=loader) for loader in (LIBYAML, yaml.SafeLoader)]
+
+
+class TestLoaders:
+    """Documents are read through libyaml when PyYAML has it; what the
+    pure-Python parser returns or raises stays what parse_model reports."""
+
+    @needs_libyaml
+    def test_demo_model(self):
+        text = DEMO_MODEL.read_text(encoding="utf-8")
+        assert same_object(*both_loaders(text))
+        assert same_object(bo.model._load_document(text), yaml.safe_load(text))
+
+    @needs_libyaml
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 3))
+    def test_serialized_random_models(self, seed, n, n_actions):
+        m = random_mdp(np.random.default_rng(seed), n, n_actions=n_actions)
+        text = bo.serialize_model(m)
+        assert same_object(*both_loaders(text))
+        assert bo.parse_model(text) == m
+
+    @needs_libyaml
+    @settings(max_examples=150, deadline=None)
+    @given(DOCUMENTS, st.sampled_from([False, True, None]))
+    def test_dumped_documents(self, doc, flow):
+        text = yaml.safe_dump(doc, default_flow_style=flow)
+        if bo.model._LIBYAML_TEXT.fullmatch(text):
+            assert same_object(*both_loaders(text))
+        assert same_object(bo.model._load_document(text), yaml.safe_load(text))
+
+    @needs_libyaml
+    def test_libyaml_reads_plain_documents(self, monkeypatch):
+        made = []
+
+        class Spy(LIBYAML):
+            def __init__(self, stream):
+                made.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(bo.model, "_LibyamlLoader", Spy)
+        assert bo.parse_model(THREE_STATE_DOC) == bo.parse_model(DEMO_MODEL.read_text())
+        assert made == [THREE_STATE_DOC, DEMO_MODEL.read_text()]
+        made.clear()
+        # outside its characters, where the two parsers were seen to
+        # disagree among others, libyaml is not asked
+        for mark in ("\t", "\ufeff", "!", "|", ">", "?", "&", "*", "%", "\\", "\r", "é"):
+            bo.model._load_document(f"x: [1, 2] # {mark}")
+        assert made == []
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+    @pytest.mark.parametrize("text, problem, line, column", MALFORMED.values(), ids=MALFORMED)
+    def test_syntax_errors_keep_message_and_position(self, monkeypatch, libyaml, text, problem,
+                                                     line, column):
+        if not libyaml:
+            monkeypatch.setattr(bo.model, "_LibyamlLoader", None)
+        with pytest.raises(bo.ModelFormatError) as exc:
+            bo.parse_model(text)
+        assert str(exc.value) == f"invalid model syntax: {problem} (line {line}, column {column})"
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert isinstance(exc.value.__cause__, yaml.MarkedYAMLError)
+
+    def test_outcomes_libyaml_alone_would_change(self):
+        # a lone surrogate does not encode for libyaml; the pure-Python
+        # reader rejects it with its own message and no mark
+        with pytest.raises(bo.ModelFormatError) as exc:
+            bo.parse_model("x: \ud800")
+        assert str(exc.value) == ("invalid model syntax: unacceptable character #xd800: special "
+                                  'characters are not allowed\n  in "<unicode string>", position 3')
+        assert exc.value.line is None
+        # libyaml rejects a YAML 1.3 directive, the pure-Python parser reads it
+        with pytest.raises(bo.ModelFormatError, match="^model document must be a mapping$"):
+            bo.parse_model("%YAML 1.3\n--- a")
+
+    def test_deep_nesting_raises_recursion_error(self):
+        # libyaml's own composer recurses on the C stack and kills the
+        # interpreter here, so the check runs in a child process
+        run_fresh("""if True:
+            import belief_opacity as bo
+            try:
+                bo.parse_model("[" * 100_000 + "]" * 100_000)
+            except RecursionError:
+                pass
+            else:
+                raise AssertionError("a document nested 100 000 deep parsed")
+        """)
+
+    def test_parses_without_libyaml(self, monkeypatch):
+        expected = bo.parse_model(THREE_STATE_DOC)
+        monkeypatch.setattr(bo.model, "_LibyamlLoader", None)
+        assert bo.parse_model(THREE_STATE_DOC) == expected
+        assert bo.load_model(DEMO_MODEL) == expected
 
 
 class TestValidate:

@@ -138,7 +138,14 @@ class TestArrayPartition:
                 assert c.box.lo.tobytes() == p.lo[row].tobytes()
                 assert c.box.hi.tobytes() == p.hi[row].tobytes()
                 assert p.cell(c.id) == c
+                assert p.row(c.id) == row
                 assert c.status == reference_status(c.box, m)
+            # a split grid cell's id, and ids below and above every held one
+            for missing in (*p.splits, -1, p.ids[-1] + 1):
+                with pytest.raises(KeyError):
+                    p.row(missing)
+                with pytest.raises(KeyError):
+                    p.cell(missing)
             assert p.counts() == {s: [c.status for c in p.cells].count(s)
                                   for s in (bo.SAFE, bo.BAD, bo.EXCLUDED)}
             assert p.safe_cells() == tuple(c for c in p.cells if c.status == bo.SAFE)
