@@ -3,9 +3,11 @@
 Each safe cell becomes a state; one distinguished absorbing state ``bad``
 stands for every cell that overlaps the forbidden belief region.  For each
 action the two-corner reach boxes of all safe cells are computed at once,
-and one grid search finds the cells each box overlaps under
-:func:`~.partition._overlap_rule`; each that is not excluded yields a
-transition.
+and one grid search, :func:`~.partition.overlapping_cells`, finds the cells
+each box overlaps under :func:`~.partition._overlap_rule`: per axis, the
+grid cells a box meets are one index range taken from the rule, and only
+the cells of split grid cells are tested pair by pair.  Each cell found
+that is not excluded yields a transition.
 Pruning then computes the safety game's greatest fixpoint: an action is
 disabled when a successor is ``bad`` or a deleted state, and a state left
 without enabled actions is deleted.

@@ -385,6 +385,8 @@ def parse_model(text: str) -> Mdp:
     """
     try:
         doc = _load_document(text)
+    except RecursionError as exc:  # PyYAML's composer recurses once per nesting level
+        raise ModelFormatError("invalid model syntax: document nested too deeply") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -442,7 +444,10 @@ def parse_model(text: str) -> Mdp:
         trans[a] = np.array(mat, dtype=float)
 
     secret_doc = doc["secret"]
-    _require(isinstance(secret_doc, list), "'secret' must be a list of state names")
+    _require(
+        isinstance(secret_doc, list) and all(isinstance(s, str) for s in secret_doc),
+        "'secret' must be a list of state names",
+    )
     index = {s: i for i, s in enumerate(states)}
     secret = set()
     for name in secret_doc:

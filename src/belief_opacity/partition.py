@@ -148,14 +148,16 @@ class Partition:
         return fast_split
 
     @cached_property
-    def _grid_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid cell g holds the rows ``cells[start[g]:start[g + 1]]``."""
+    def _grid_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid cell g holds the rows ``cells[start[g]:start[g + 1]]``, and
+        ``split[g]`` tells whether refinement split it."""
         grid = np.array(self.ids)  # an unsplit grid cell's id is its index
+        split = np.zeros(math.prod(len(e) - 1 for e in self.grid_edges), dtype=bool)
         for g, members in self.splits.items():
             grid[[self.row(cid) for cid in members]] = g
+            split[g] = True
         cells = np.argsort(grid, kind="stable")
-        count = math.prod(len(e) - 1 for e in self.grid_edges)
-        return np.searchsorted(grid[cells], np.arange(count + 1)), cells
+        return np.searchsorted(grid[cells], np.arange(len(split) + 1)), cells, split
 
     def _cell_at(self, row: int) -> PartitionCell:
         box = IntervalBox(lo=self.lo[row], hi=self.hi[row])
@@ -296,21 +298,27 @@ def _search(xs: list, p: Partition) -> int:
 def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The runs ``start[j], ..., start[j] + count[j] - 1`` end to end: run numbers and values."""
     ends = np.cumsum(count)
-    offset = np.repeat(ends - count - start, count)
-    return np.repeat(np.arange(len(count)), count), np.arange(len(offset)) - offset
+    values = np.arange(count.sum())
+    values -= np.repeat(ends - count - start, count)
+    return np.repeat(np.arange(len(count)), count), values
 
 
-_OVERLAP_RULES = {"strict": np.less, "closed": np.less_equal}
-_BLOCK = 128  # boxes searched at once, which bounds the temporary arrays
+# per mode: the comparison of the larger lower end with the smaller upper
+# end, then the searchsorted sides that turn it into a range of grid cells
+# on one axis (see overlapping_cells)
+_OVERLAP_RULES = {"strict": (np.less, "right", "left"),
+                  "closed": (np.less_equal, "left", "right")}
 
 
 def _overlap_rule(mode: str):
     """Elementwise test whether the intervals ``[alo, ahi]`` and ``[blo, bhi]``
     meet, comparing the larger lower end with the smaller upper end:
     ``strict`` requires the interiors to meet, ``closed`` also counts shared
-    end points."""
+    end points.  :func:`overlapping_cells` turns the same comparison into
+    index ranges over the grid edges and runs this test only on the cells of
+    split grid cells."""
     try:
-        less = _OVERLAP_RULES[mode]
+        less = _OVERLAP_RULES[mode][0]
     except KeyError:
         raise ValueError(f"unknown overlap mode {mode!r}") from None
     return lambda alo, ahi, blo, bhi: less(np.maximum(alo, blo), np.minimum(ahi, bhi))
@@ -321,36 +329,40 @@ def overlapping_cells(p: Partition, lo: np.ndarray, hi: np.ndarray, mode: str):
     :func:`_overlap_rule`), for the boxes ``[lo[b], hi[b]]``: arrays of box
     indices and cell rows, ordered by box, then grid index, then row.
 
-    Per axis, a box's closed index range of grid cells comes from
-    ``grid_edges``; the ranges are expanded with array arithmetic, keeping
-    the pairs that pass on that axis, and each split grid cell is replaced
-    by those of its cells that pass.
+    The grid edges ascend strictly, so on each axis the grid cells
+    ``[e_i, e_(i+1)]`` that meet a box ``[l, h]`` under the rule are one
+    range: ``strict`` needs ``l < e_(i+1)``, ``e_i < h`` and ``l < h``,
+    ``closed`` the same with ``<=``, and each bound is one ``searchsorted``.
+    The ranges are expanded with array arithmetic into exactly the pairs
+    that pass on every axis.  Each split grid cell is then replaced by
+    those of its cells that pass the rule on every axis; no other pair is
+    tested again.
     """
     meets = _overlap_rule(mode)
-    edges = [np.asarray(e) for e in p.grid_edges]
-    boxes, rows = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for first in range(0, len(lo), _BLOCK):
-        blo, bhi = lo[first:first + _BLOCK], hi[first:first + _BLOCK]
-        box, g = np.arange(len(blo)), np.zeros(len(blo), dtype=np.intp)
-        for k, e in enumerate(edges):
-            # grid cell i meets [blo, bhi] as closed intervals, as either
-            # rule requires, exactly when e_i <= bhi and blo <= e_(i+1)
-            low = np.maximum(np.searchsorted(e, blo[:, k], "left") - 1, 0)
-            high = np.minimum(np.searchsorted(e, bhi[:, k], "right"), len(e) - 1)
-            pair, i = _runs(low[box], np.maximum(high - low, 0)[box])
-            box, g = box[pair], g[pair] * (len(e) - 1) + i
-            keep = meets(blo[box, k], bhi[box, k], e[i], e[i + 1])
-            box, g = box[keep], g[keep]
-        row = g  # without splits, a grid cell's index is its id and its row
-        if p.splits:  # each grid cell's cells, tested on every axis
-            start, cells = p._grid_cells
-            pair, j = _runs(start[g], start[g + 1] - start[g])
-            box, row = box[pair], cells[j]
-            keep = np.all(meets(blo[box], bhi[box], p.lo[row], p.hi[row]), axis=-1)
-            box, row = box[keep], row[keep]
-        boxes.append(box + first)
-        rows.append(row)
-    return np.concatenate(boxes), np.concatenate(rows)
+    less, lo_side, hi_side = _OVERLAP_RULES[mode]
+    box, g = np.arange(len(lo)), np.zeros(len(lo), dtype=np.intp)
+    for k, e in enumerate(p.grid_edges):
+        e = np.asarray(e)
+        first = np.searchsorted(e[1:], lo[:, k], lo_side)
+        count = np.searchsorted(e[:-1], hi[:, k], hi_side) - first
+        count = np.where(less(lo[:, k], hi[:, k]), np.maximum(count, 0), 0)
+        pair, i = _runs(first[box], count[box])
+        box, g = box[pair], g[pair]
+        # in place, and freed before the next axis: these arrays are the
+        # size of the output and set the peak memory of build_abstraction
+        g *= len(e) - 1
+        g += i
+        del pair, i
+    if not p.splits:  # a grid cell's index is its id and its row
+        return box, g
+    start, cells, split = p._grid_cells
+    pair, j = _runs(start[g], start[g + 1] - start[g])
+    box, row, split = box[pair], cells[j], split[g[pair]]
+    # an unsplit grid cell is its one cell, which has passed already
+    keep = ~split
+    b, r = box[split], row[split]
+    keep[split] = np.all(meets(lo[b], hi[b], p.lo[r], p.hi[r]), axis=-1)
+    return box[keep], row[keep]
 
 
 # the bisection budget of refine_initial

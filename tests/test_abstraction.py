@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import belief_opacity as bo
+from belief_opacity import partition
 from conftest import random_mdp, ref_cells
+from test_partition import refined_partitions
 
 
 def two_action_two_state_model():
@@ -181,6 +183,44 @@ class TestGridIndexedOverlap:
             assert list(nfa.delta) == sorted(nfa.delta, key=lambda k: (m.actions.index(k[1]), k[0]))
 
 
+def scan_pairs(p, lo, hi, meets):
+    """The (box, row) pairs that ``meets`` on every axis, found by testing
+    every box against every cell: ordered by box, then grid index, then
+    row."""
+    grid = np.ravel_multi_index(
+        [np.searchsorted(e, p.lo[:, k], "right") - 1 for k, e in enumerate(p.grid_edges)],
+        [len(e) - 1 for e in p.grid_edges],
+    )
+    pairs = []
+    for b in range(len(lo)):
+        hit = np.flatnonzero(np.all(meets(lo[b], hi[b], p.lo, p.hi), axis=1))
+        pairs += [(b, r) for r in sorted(hit, key=lambda r: (grid[r], r))]
+    return pairs
+
+
+@st.composite
+def search_cases(draw):
+    """A refined partition, a mode and up to eight boxes whose corners lie on
+    grid edges, on the faces of split cells' cells, or anywhere in
+    [-0.2, 1.2]; boxes may have zero width, be inverted or leave [0, 1].
+    Some cases are the one-point ``closed`` boxes of a point location."""
+    p, _ = draw(refined_partitions())
+    halves = [p.row(cid) for cids in p.splits.values() for cid in cids]
+    coords = [sorted({*p.grid_edges[k], *p.lo[halves, k].tolist(), *p.hi[halves, k].tolist()})
+              for k in range(p.dim)]
+    point = draw(st.booleans())
+    mode = "closed" if point else draw(st.sampled_from(["strict", "closed"]))
+    anywhere = st.floats(-0.2, 1.2)
+    lo, hi = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        corner = [draw(st.sampled_from(c) | anywhere) for c in coords]
+        other = corner if point else [
+            draw(st.sampled_from([v, *c]) | anywhere) for v, c in zip(corner, coords)]
+        lo.append(corner)
+        hi.append(other)
+    return p, np.array(lo), np.array(hi), mode
+
+
 class TestOverlappingCells:
     @pytest.mark.parametrize("mode, less", [("strict", np.less), ("closed", np.less_equal)])
     def test_pairs_and_order_match_a_scan_of_every_cell(self, mdp3, mode, less):
@@ -189,22 +229,29 @@ class TestOverlappingCells:
         assert p.splits
         rng = np.random.default_rng(5)
         # corners on grid edges or not, boxes of zero width and boxes
-        # leaving the unit square; 300 boxes span more than two blocks
+        # leaving the unit square
         lo = np.concatenate([rng.integers(-2, 12, (150, 2)) / 10, rng.uniform(-0.2, 1.1, (150, 2))])
         hi = lo + np.concatenate([rng.integers(0, 4, (150, 2)) / 10, rng.uniform(0, 0.3, (150, 2))])
         meets = lambda alo, ahi, blo, bhi: less(np.maximum(alo, blo), np.minimum(ahi, bhi))
         boxes, rows = bo.overlapping_cells(p, lo, hi, mode)
-        grid = np.ravel_multi_index(
-            [np.searchsorted(e, p.lo[:, k], "right") - 1 for k, e in enumerate(p.grid_edges)],
-            [len(e) - 1 for e in p.grid_edges],
-        )
-        expected = []
-        for b in range(len(lo)):
-            hit = np.flatnonzero(np.all(meets(lo[b], hi[b], p.lo, p.hi), axis=1))
-            expected += [(b, r) for r in sorted(hit, key=lambda r: (grid[r], r))]
-        assert list(zip(boxes.tolist(), rows.tolist())) == expected
+        assert list(zip(boxes.tolist(), rows.tolist())) == scan_pairs(p, lo, hi, meets)
         halves = {p.row(cid) for cids in p.splits.values() for cid in cids}
         assert halves & set(rows.tolist())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(search_cases())
+    def test_refined_partitions_match_a_scan_of_every_cell(self, case):
+        p, lo, hi, mode = case
+        boxes, rows = bo.overlapping_cells(p, lo, hi, mode)
+        expected = scan_pairs(p, lo, hi, partition._overlap_rule(mode))
+        assert list(zip(boxes.tolist(), rows.tolist())) == expected
+
+    @pytest.mark.parametrize("width", [1 / 3, 0.3, 0.25, 0.1, 0.125, 0.02, 0.015])
+    def test_axis_edges_ascend_strictly(self, width):
+        # the per-axis ranges of overlapping_cells rely on it
+        edges = partition._axis_edges(width, partition._axis_count(width))
+        assert edges[0] == 0.0 and edges[-1] == 1.0
+        assert np.all(edges[1:] > edges[:-1])
 
 
 def dict_build(m, p, overlap_mode):

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import os
 import subprocess
 import sys
@@ -323,6 +324,32 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("secret", ["[[1]]", "[{a: 1}]", "[s1, 2]"])
+    @pytest.mark.parametrize("argv", [["validate"], ["abstract", "--widths", "0.2"]])
+    def test_secret_entry_that_is_no_name_exits_two(self, tmp_path, capsys, caplog, argv, secret):
+        path = tmp_path / "secret.yaml"
+        path.write_text(THREE_STATE_DOC.replace("secret: [s1, s2]", f"secret: {secret}"))
+        out = tmp_path / "out"
+        args = [*argv, "--model", str(path)] + (["--out", str(out)] if argv != ["validate"] else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines() + [r.getMessage() for r in caplog.records]
+        assert lines == [("error: " if argv == ["validate"] else "")
+                         + "'secret' must be a list of state names"]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_deeply_nested_document_exits_two(self, tmp_path):
+        # in a child process: libyaml's composer recurses on the C stack
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [sys.executable, "-m", "belief_opacity", "validate", "--model", str(path)]
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+        assert done.returncode == 2
+        assert done.stdout == "error: invalid model syntax: document nested too deeply\n"
+        assert "Traceback" not in done.stderr
+
     def test_refinement_budget_exits_three(self, tmp_path):
         # x0 = 0.75 sits exactly on the threshold and on no bisection point
         # of the cell [0, 0.9], so every cell holding it stays bad
@@ -356,6 +383,40 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
 
+# sha256 of the artifacts of ``abstract`` and ``synthesize --mode edit``
+# (see ``artifact_digest``), taken before the grid search used per-axis
+# ranges from the overlap rule: (model, width, overlap) -> (abstract, edit)
+PINNED_DIGESTS = {
+    ("three_state", "0.2", "strict"): (
+        "66abc88633463c810814f3300a3cb6180e5f48afe192c269994e86edb16810c2",
+        "3a6ae24e3ec771e62433ab768a82ad5ef0caf7f6adde08a91bd2e1a1e45e9619"),
+    ("three_state", "0.2", "closed"): (
+        "e16c07b88c84c099adedc034aa199ff22824df34afe141633f79fa151a4bc6cd",
+        "24e2e9c53bca21f6411618b0ec37821f7cbe3142f39dcc411c529271ee45b840"),
+    ("three_state", "0.015", "strict"): (
+        "d3eea70da3c90607ea14199ccc6e277a5a1a54b31df592328341ecb8ac11ee91",
+        "2619b764b5dad8b1c4b71af799a264096d0470b343a9efded4ac03da529eeaa0"),
+    ("three_state", "0.015", "closed"): (
+        "9294aa1c542b4935eb81db486f885d009ef385ba0863ddf90dd776c6380945e1",
+        "1ba71defd8e1f3437245577dce6a5a33a2a6bf4e5d9a8379cd5964c2bad19456"),
+    ("refined", "0.02", "strict"): (
+        "d6d68c2121dfc102273a750b6a8055b81e27b0efc2a46bd9f1bfb975b441e7ff",
+        "0faeee6e3ce0fe5467f2e22680978a4094c0c7a03d1513df78ad36efac8107a7"),
+    ("refined", "0.02", "closed"): (
+        "4b8ab667bed5e9c808e1b10783156a05718526cc225c894c64ef9db896b48064",
+        "fba56ac3fe09f0ed9d147f4e922ac3a505ae466693c9b8aa27b3a0dc167a5937"),
+}
+
+
+def artifact_digest(out: Path) -> str:
+    """sha256 over the files of ``out`` in name order, each as its name, a
+    NUL byte and the sha256 of its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
 class TestDeterminism:
     def test_refined_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
         # the refined reference model: its abstraction has sparse ids and
@@ -386,6 +447,23 @@ class TestDeterminism:
             "abstract/log.txt", "abstract/partition.svg", "abstract/pruned.dot",
             "edit/edit.dot", "simulate/trace.csv"]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("model, width, overlap", list(PINNED_DIGESTS))
+    def test_artifacts_match_pinned_digests(self, tmp_path, model, width, overlap):
+        # three_state.yaml as shipped, and the refined reference model (pi0
+        # just under lambda, so refine_initial splits the initial grid cell)
+        doc = (Path(__file__).parents[1] / "demos" / "models" / "three_state.yaml").read_text()
+        if model == "refined":
+            doc = doc.replace("pi0: [0.3, 0.1, 0.6]", "pi0: [0.5, 0.29, 0.21]")
+        path = tmp_path / "model.yaml"
+        path.write_text(doc)
+        common = ["--model", str(path), "--widths", width, "--overlap", overlap]
+        got = []
+        for name, argv in (("abstract", ["abstract", *common]),
+                           ("edit", ["synthesize", *common, "--mode", "edit"])):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            got.append(artifact_digest(tmp_path / name))
+        assert tuple(got) == PINNED_DIGESTS[model, width, overlap]
 
     def test_abstract_twice_is_byte_identical(self, model_file, tmp_path):
         outs = []

@@ -239,15 +239,17 @@ class TestLoaders:
         with pytest.raises(bo.ModelFormatError, match="^model document must be a mapping$"):
             bo.parse_model("%YAML 1.3\n--- a")
 
-    def test_deep_nesting_raises_recursion_error(self):
+    def test_deep_nesting_raises_model_format_error(self):
         # libyaml's own composer recurses on the C stack and kills the
         # interpreter here, so the check runs in a child process
         run_fresh("""if True:
             import belief_opacity as bo
             try:
                 bo.parse_model("[" * 100_000 + "]" * 100_000)
-            except RecursionError:
-                pass
+            except bo.ModelFormatError as exc:
+                assert str(exc) == "invalid model syntax: document nested too deeply", exc
+                assert exc.line is None and exc.column is None
+                assert isinstance(exc.__cause__, RecursionError)
             else:
                 raise AssertionError("a document nested 100 000 deep parsed")
         """)
