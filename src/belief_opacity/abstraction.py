@@ -1,10 +1,11 @@
 """Finite NFA abstraction of the belief dynamics over safe cells.
 
 Each safe cell becomes a state; one distinguished absorbing state ``bad``
-stands for every cell that overlaps the forbidden belief region.  For each
-action the two-corner reach boxes of all safe cells are computed at once,
-and one grid search, :func:`~.partition.overlapping_cells`, finds the cells
-each box overlaps under :func:`~.partition._overlap_rule`: per axis, the
+stands for every cell that overlaps the forbidden belief region.  The
+two-corner reach boxes of all safe cells under every action are computed at
+once, one stacked matrix-vector product per cell and corner, and for each
+action one grid search, :func:`~.partition.overlapping_cells`, finds the
+cells each box overlaps under :func:`~.partition._overlap_rule`: per axis, the
 grid cells a box meets are one index range taken from the rule, and only
 the cells of split grid cells are tested pair by pair.  Each cell found
 that is not excluded yields a transition.
@@ -28,9 +29,9 @@ from itertools import compress
 
 import numpy as np
 
-from .dynamics import decomposition, reach_boxes, reduce_belief
+from .dynamics import _stacked_reach_boxes, decomposition, reduce_belief
 from .model import Mdp, Nfa, _state_key
-from .partition import BAD, SAFE, Partition, locate_cell, overlapping_cells
+from .partition import _BAD, _SAFE, Partition, locate_cell, overlapping_cells
 from .partition import _overlap_rule
 
 __all__ = [
@@ -96,32 +97,38 @@ def build_abstraction(m: Mdp, p: Partition, overlap_mode: str = "strict") -> Nfa
     """
     _overlap_rule(overlap_mode)
     initial_cell = locate_cell(reduce_belief(m.pi0), p)
-    if p.status[p.row(initial_cell)] == BAD:
+    codes = p.codes
+    if codes[p.row(initial_cell)] == _BAD:
         raise BadInitialCellError(
             f"initial belief lies in bad cell {initial_cell}; refine the partition first"
         )
 
-    status = np.array(p.status, dtype=object)
-    safe = np.flatnonzero(status == SAFE)
+    safe = np.flatnonzero(codes == _SAFE)
     # states: the safe cells in ascending id, then ``bad``; each row's state
     # index, or -1 for an excluded row
     n = len(safe) + 1
-    state = np.where(status == BAD, n - 1, -1)
+    state = np.where(codes == _BAD, n - 1, -1)
     state[safe] = np.arange(len(safe))
     # an edge's key is its slot (source * |actions| + action) above the
     # bits of its target, so keys sort like (source, action, target)
     k, dst_bits = len(m.actions), n.bit_length()
+    # every action's reach boxes from one product per corner; one search per
+    # action, which keeps the search's output-sized arrays to one action's
+    rlo, rhi = _stacked_reach_boxes([decomposition(m, a) for a in m.actions],
+                                    p.lo[safe], p.hi[safe])
     keys = []
-    for a_k, a in enumerate(m.actions):
-        rlo, rhi = reach_boxes(decomposition(m, a), p.lo[safe], p.hi[safe])
-        boxes, rows = overlapping_cells(p, rlo, rhi, overlap_mode)
+    for a_k in range(k):
+        boxes, rows = overlapping_cells(p, rlo[:, a_k], rhi[:, a_k], overlap_mode)
         dst = state[rows]
         keep = dst >= 0
         keys.append(((boxes[keep] * k + a_k) << dst_bits) + dst[keep])
     keys = np.concatenate(keys)
     keys.sort()
-    # the bad cells a box overlaps become one edge
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    # the bad cells a box overlaps become one edge; there may be no edge
+    # at all (under ``strict``, a box of zero width meets no cell)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     slot = keys >> dst_bits
     order = (*map(p.ids.__getitem__, safe.tolist()), BAD_STATE)
     return Nfa._from_edges(order, m.actions, slot, keys - (slot << dst_bits),
@@ -145,11 +152,14 @@ def prune(nfa: Nfa, initial: int) -> tuple[Nfa, tuple[PruneEvent, ...]]:
     logged.  Deleting the initial state raises
     :class:`InitialCellPrunedError`.
     """
-    if initial not in nfa.states:
+    if nfa._position(initial) is None:
         raise ValueError(f"initial state {initial!r} not in the automaton")
     order, alphabet, dst = nfa.order, nfa.alphabet, nfa.dst
     n, k = len(order), len(alphabet)
-    live = np.array([q != BAD_STATE for q in order], dtype=bool)
+    live = np.ones(n, dtype=bool)
+    bad = nfa._position(BAD_STATE)
+    if bad is not None:
+        live[bad] = False
     # ``bad`` is never live, so its own slots count as disabled
     disabled = ~live.repeat(k)
     per_slot = np.diff(nfa.offsets)

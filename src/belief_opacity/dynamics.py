@@ -146,9 +146,35 @@ class IntervalBox:
 
 
 def _matvec(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # ``a @ x`` for each row x of xs.  A stacked matvec rounds each product
-    # as the single-vector ``a @ x`` does; ``xs @ a.T`` and einsum may not.
+    # ``a @ x`` for each row x of xs, as one BLAS matrix-vector product per
+    # row.  Each row of ``a`` yields one dot product with x, rounded as in
+    # the single-vector ``a @ x``, also when ``a`` stacks several matrices
+    # by rows, so a stacked product gives each block's product bit for bit.
+    # ``xs @ a.T``, ``a @ xs.T`` and einsum are matrix-matrix products,
+    # which OpenBLAS computes with fused multiply-adds in another order, so
+    # they can differ in the last bit.
     return np.matmul(a, xs[:, :, None])[:, :, 0]
+
+
+def _stacked_reach_boxes(
+    ds, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reach_boxes` under every decomposition of ``ds`` at once:
+    boxes x len(ds) x dim arrays whose ``[:, j]`` is ``reach_boxes(ds[j],
+    lo, hi)``, bit for bit.
+
+    The ``[a1; a2]`` blocks of all decompositions are stacked by rows, so
+    each corner takes one matrix-vector product per box (see
+    :func:`_matvec`).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    a = np.concatenate([block for d in ds for block in (d.a1, d.a2)])
+    b = np.array([d.b for d in ds])
+    shape = (len(lo), len(ds), 2, a.shape[1])  # per box, per d: a1 @ x, then a2 @ x
+    at_lo = _matvec(a, lo).reshape(shape)
+    at_hi = _matvec(a, hi).reshape(shape)
+    return at_lo[:, :, 0] - at_hi[:, :, 1] + b, at_hi[:, :, 0] - at_lo[:, :, 1] + b
 
 
 def reach_boxes(
@@ -159,11 +185,8 @@ def reach_boxes(
     Row ``r`` of the result is ``[f(lo[r], hi[r]), f(hi[r], lo[r])]`` for
     the box ``[lo[r], hi[r]]`` (``lo`` and ``hi`` are boxes x dim arrays).
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    rlo = _matvec(d.a1, lo) - _matvec(d.a2, hi) + d.b
-    rhi = _matvec(d.a1, hi) - _matvec(d.a2, lo) + d.b
-    return rlo, rhi
+    rlo, rhi = _stacked_reach_boxes((d,), lo, hi)
+    return rlo[:, 0], rhi[:, 0]
 
 
 def reach_box(d: AffineDecomposition, box: IntervalBox) -> IntervalBox:

@@ -19,6 +19,7 @@ into.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -169,9 +170,9 @@ class Nfa:
     ascending, for the slot ``s = i * K + k`` with K = |alphabet| (the
     post-index layout of SCOTS).  So the edges are sorted by (source,
     action, target), and :meth:`edge_arrays` gives them as three arrays.
-    ``states`` and ``delta``, the read-only mapping (state, action) ->
-    frozenset of targets keyed in alphabet order, then ascending state, are
-    derived on first use.
+    :meth:`successors` reads one slot.  ``states`` and ``delta``, the
+    read-only mapping (state, action) -> frozenset of targets keyed in
+    alphabet order, then ascending state, are derived on first use.
 
     The constructor takes ``delta`` as such a mapping, drops empty targets
     and rejects unknown states and symbols; automata whose arrays are
@@ -252,10 +253,27 @@ class Nfa:
     def _index(self) -> dict:
         return dict(zip(self.order, range(len(self.order))))
 
+    def _position(self, q) -> int | None:
+        """Index of state ``q`` in ``order``, or None when ``q`` is no
+        state: a bisection over the sorted ``order``, so no per-state view
+        is built."""
+        try:
+            i = bisect_left(self.order, _state_key(q), key=_state_key)
+        except TypeError:  # q's key does not compare with the states' keys
+            return None
+        return i if i < len(self.order) and self.order[i] == q else None
+
+    @cached_property
+    def _slot_lists(self) -> tuple[list, list]:
+        """``offsets`` as a list, and each edge's target state in edge
+        order: the targets of slot s are ``targets[offsets[s]:offsets[s +
+        1]]``."""
+        return self.offsets.tolist(), list(map(self.order.__getitem__, self.dst.tolist()))
+
     @cached_property
     def delta(self) -> Mapping:
         n, k = len(self.order), len(self.alphabet)
-        offsets, targets = self.offsets.tolist(), [self.order[j] for j in self.dst.tolist()]
+        offsets, targets = self._slot_lists
         view = {}
         # the non-empty slots, in alphabet order, then ascending state
         for key in np.flatnonzero(np.diff(self.offsets).reshape(n, k).T).tolist():
@@ -277,7 +295,15 @@ class Nfa:
         return [actions[c] for c in masks]
 
     def successors(self, q, a: str) -> frozenset:
-        return self.delta.get((q, a), frozenset())
+        """The targets of ``q`` under ``a``, read from the slot ``i * K +
+        k`` of q's index i and a's index k; empty when ``q`` is no state or
+        ``a`` no symbol.  The ``delta`` mapping is not built."""
+        i = self._index.get(q)
+        if i is None or a not in self.alphabet:
+            return frozenset()
+        offsets, targets = self._slot_lists
+        s = i * len(self.alphabet) + self.alphabet.index(a)
+        return frozenset(targets[offsets[s]:offsets[s + 1]])
 
     def enabled(self, q) -> tuple[str, ...]:
         i = self._index.get(q)
@@ -368,10 +394,15 @@ def _load_document(text: str):
     The pure-Python ``SafeLoader`` decides every text libyaml might read
     differently or fails on (libyaml words its errors differently and
     reports other marks), so its result or exception is the one returned.
+    The one exception: a ``RecursionError`` propagates at once, since both
+    loaders share PyYAML's composer, which recurses once per nesting
+    level, so a second pass would only fail again, slowly.
     """
     if _LibyamlLoader is not None and _LIBYAML_TEXT.fullmatch(text):
         try:
             return yaml.load(text, Loader=_LibyamlLoader)
+        except RecursionError:
+            raise
         except Exception:  # whatever it was, SafeLoader's outcome is the one reported
             pass
     return yaml.load(text, Loader=yaml.SafeLoader)

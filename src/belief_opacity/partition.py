@@ -13,9 +13,12 @@ with axis-aligned cells and classify each one:
 The upper-corner test is exact for cells fully inside X and conservative for
 cells straddling the simplex boundary; we accept the conservatism.
 
-A :class:`Partition` keeps its cells as flat arrays (corners as cells x d
-float arrays, statuses and ids as tuples), classified in one vectorized
-pass; :class:`PartitionCell` objects are built only on request.
+A :class:`Partition` keeps its cells as flat arrays, classified in one
+vectorized pass: corners as cells x d float arrays, statuses as one int8
+code array (0 safe, 1 bad, 2 excluded; see :data:`_STATUS_NAMES`), ids as a
+tuple.  The status names, per-cell tuples and :class:`PartitionCell`
+objects are derived only on request, for the writers and callers; the
+synthesis reads the codes.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ __all__ = [
 SAFE = "safe"
 BAD = "bad"
 EXCLUDED = "excluded"
+# a status code is the index of its name here
+_STATUS_NAMES = (SAFE, BAD, EXCLUDED)
+_SAFE, _BAD, _EXCLUDED = range(3)
 
 
 class RefinementFailedError(RuntimeError):
@@ -67,9 +73,12 @@ class Partition:
     order.
 
     Row ``r`` is the cell ``ids[r]`` with box ``[lo[r], hi[r]]`` (``lo`` and
-    ``hi`` are read-only cells x dim float arrays) and status ``status[r]``.
-    ``cells`` builds the matching :class:`PartitionCell` objects on first
-    use; the abstraction never needs them.
+    ``hi`` are read-only cells x dim float arrays) and status code
+    ``codes[r]`` (a read-only int8 array; the code is the index of the
+    status name in :data:`_STATUS_NAMES`).  ``status``, the names as a
+    tuple, and ``cells``, the matching :class:`PartitionCell` objects, are
+    derived on first use; the synthesis and the edit engine never need
+    them.
 
     ``grid_edges`` are the per-axis edges of the grid the partition was
     built on; grid cells are numbered in row-major order over them.  An
@@ -82,7 +91,7 @@ class Partition:
 
     lo: np.ndarray
     hi: np.ndarray
-    status: tuple[str, ...]
+    codes: np.ndarray
     ids: tuple[int, ...]
     grid_edges: tuple[tuple[float, ...], ...]
     splits: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -90,7 +99,9 @@ class Partition:
     def __post_init__(self):
         object.__setattr__(self, "lo", _freeze(self.lo).reshape(-1, self.dim))
         object.__setattr__(self, "hi", _freeze(self.hi).reshape(-1, self.dim))
-        object.__setattr__(self, "status", tuple(self.status))
+        codes = np.array(self.codes, dtype=np.int8)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "ids", tuple(self.ids))
 
     @property
@@ -113,27 +124,30 @@ class Partition:
         outright if no grid cell is split (every other candidate's lower
         corner is componentwise no larger) or if x lies on none of its lower
         faces (it is then the only candidate).  Points outside [0, 1] on
-        some axis, NaN included, get -1.  The closure holds the partition's
-        tables, not the partition, so caching it makes no reference cycle.
+        some axis, NaN included, get -1.  Per grid cell, one byte of a
+        ``bytes`` table holds its status code, or the excluded code where
+        the grid cell is split.  The closure holds the partition's tables,
+        not the partition, so caching it makes no reference cycle.
         """
-        axes, status = self._axes, self.status
+        axes, excluded = self._axes, _EXCLUDED  # the closures read a cell, not a global
         if not self.splits:  # an unsplit grid cell's id is its grid index and its row
+            codes = self.codes.tobytes()
+
             def fast(xs: list) -> int:
                 idx = 0
                 for v, (inner, n_k) in zip(xs, axes):
                     if not 0.0 <= v <= 1.0:
                         return -1
                     idx = idx * n_k + bisect_right(inner, v)
-                return idx if status[idx] != EXCLUDED else -1
+                return idx if codes[idx] != excluded else -1
             return fast
 
-        # per grid cell, its status when unsplit and EXCLUDED when split:
         # the ids below the grid's size are exactly the unsplit grid cells
-        by_grid = [EXCLUDED] * math.prod(n_k for _, n_k in axes)
-        for cell_id, s in zip(self.ids, status):
-            if cell_id < len(by_grid):
-                by_grid[cell_id] = s
-        by_grid = tuple(by_grid)
+        by_grid = np.full(math.prod(n_k for _, n_k in axes), _EXCLUDED, dtype=np.int8)
+        ids = np.array(self.ids)
+        unsplit = ids < len(by_grid)
+        by_grid[ids[unsplit]] = self.codes[unsplit]
+        by_grid = by_grid.tobytes()
 
         def fast_split(xs: list) -> int:
             idx = 0
@@ -144,7 +158,7 @@ class Partition:
                 if i and inner[i - 1] == v:  # on a lower face of x's grid cell
                     return -1
                 idx = idx * n_k + i
-            return idx if by_grid[idx] != EXCLUDED else -1
+            return idx if by_grid[idx] != excluded else -1
         return fast_split
 
     @cached_property
@@ -161,14 +175,19 @@ class Partition:
 
     def _cell_at(self, row: int) -> PartitionCell:
         box = IntervalBox(lo=self.lo[row], hi=self.hi[row])
-        return PartitionCell(id=self.ids[row], box=box, status=self.status[row])
+        return PartitionCell(id=self.ids[row], box=box, status=_STATUS_NAMES[self.codes[row]])
+
+    @cached_property
+    def status(self) -> tuple[str, ...]:
+        """Each row's status name."""
+        return tuple(map(_STATUS_NAMES.__getitem__, self.codes.tolist()))
 
     @cached_property
     def cells(self) -> tuple[PartitionCell, ...]:
         return tuple(self._cell_at(r) for r in range(len(self.ids)))
 
     def row(self, cell_id: int) -> int:
-        """Row of cell ``cell_id`` in ``lo``, ``hi``, ``status`` and ``ids``;
+        """Row of cell ``cell_id`` in ``lo``, ``hi``, ``codes`` and ``ids``;
         ``KeyError`` for an id the partition does not hold."""
         r = bisect_left(self.ids, cell_id)  # ids ascend
         if r == len(self.ids) or self.ids[r] != cell_id:
@@ -179,22 +198,23 @@ class Partition:
         return self._cell_at(self.row(cell_id))
 
     def safe_cells(self) -> tuple[PartitionCell, ...]:
-        return tuple(self._cell_at(r) for r, s in enumerate(self.status) if s == SAFE)
+        return tuple(map(self._cell_at, np.flatnonzero(self.codes == _SAFE).tolist()))
 
     def counts(self) -> dict[str, int]:
-        return {s: self.status.count(s) for s in (SAFE, BAD, EXCLUDED)}
+        return dict(zip(_STATUS_NAMES, np.bincount(self.codes, minlength=3).tolist()))
 
 
-def _classify(lo: np.ndarray, hi: np.ndarray, m: Mdp) -> list[str]:
-    """Status of each box ``[lo[r], hi[r]]``: excluded when the lower corner
-    sums to >= 1, bad when the upper corner's secret mass exceeds the
-    threshold, safe otherwise.  Row sums over C-ordered rows add each row as
-    ``row.sum()`` does, so one box and many classify alike."""
+def _classify(lo: np.ndarray, hi: np.ndarray, m: Mdp) -> np.ndarray:
+    """Status code of each box ``[lo[r], hi[r]]``, as an int8 array:
+    excluded when the lower corner sums to >= 1, bad when the upper corner's
+    secret mass exceeds the threshold, safe otherwise.  Row sums over
+    C-ordered rows add each row as ``row.sum()`` does, so one box and many
+    classify alike."""
     if len(m.secret) and max(m.secret) >= m.n - 1:
         raise ValueError("model must be canonically ordered (last state non-secret)")
-    excluded = np.ascontiguousarray(lo).sum(axis=1) >= 1.0
-    bad = hi[:, m.secret_indices].sum(axis=1) > m.threshold
-    return np.where(excluded, EXCLUDED, np.where(bad, BAD, SAFE)).tolist()
+    codes = (hi[:, m.secret_indices].sum(axis=1) > m.threshold).astype(np.int8)  # _BAD is 1
+    codes[np.ascontiguousarray(lo).sum(axis=1) >= 1.0] = _EXCLUDED
+    return codes
 
 
 MAX_GRID_CELLS = 5_000_000  # the cube of an N = 6 model at width 0.05 has 3.2 M
@@ -244,7 +264,7 @@ def build_grid(widths, m: Mdp) -> Partition:
     return Partition(
         lo=lo,
         hi=hi,
-        status=_classify(lo, hi, m),
+        codes=_classify(lo, hi, m),
         ids=range(len(lo)),
         grid_edges=tuple(tuple(e.tolist()) for e in edges),
     )
@@ -289,7 +309,7 @@ def _search(xs: list, p: Partition) -> int:
     xs = [min(max(v, 0.0), 1.0) for v in xs]
     x = np.array([xs])
     _, rows = overlapping_cells(p, x, x, "closed")
-    keys = [(p.lo[r].tolist(), p.ids[r]) for r in rows.tolist() if p.status[r] != EXCLUDED]
+    keys = [(p.lo[r].tolist(), p.ids[r]) for r in rows[p.codes[rows] != _EXCLUDED].tolist()]
     if not keys:
         raise ValueError(f"point {xs!r} outside the belief domain")
     return max(keys)[1]
@@ -382,13 +402,13 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp) -> Partition:
     """
     x0 = np.asarray(x0, dtype=float)
     first = p.row(locate_cell(x0, p))
-    if p.status[first] != BAD:
+    if p.codes[first] != _BAD:
         return p
     secret_dims = [k for k in sorted(m.secret) if k < p.dim]
-    # halves not split again, by id: (lo, hi, status)
-    added: dict[int, tuple[np.ndarray, np.ndarray, str]] = {}
+    # halves not split again, by id: (lo, hi, status code)
+    added: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
     next_id = p.ids[-1] + 1
-    cell_id, lo, hi, status = p.ids[first], p.lo[first], p.hi[first], BAD
+    cell_id, lo, hi, code = p.ids[first], p.lo[first], p.hi[first], _BAD
     for _ in range(_MAX_BISECTIONS if secret_dims else 0):
         room = [(float(hi[k] - x0[k]), k) for k in secret_dims]
         _, axis = max(room, key=lambda t: (t[0], -t[1]))
@@ -399,19 +419,19 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp) -> Partition:
         hi_half_lo[axis] = mid
         los = np.array([lo, hi_half_lo])
         his = np.array([lo_half_hi, hi])
-        lower, upper = _classify(los, his, m)
+        lower, upper = _classify(los, his, m).tolist()
         added.pop(cell_id, None)
         added[next_id] = (los[0], his[0], lower)
         added[next_id + 1] = (los[1], his[1], upper)
         # x0 lay in the split cell, so it now lies in one of the halves; the
         # upper half has the larger lower corner and wins when it holds x0
         # and is not excluded (locate_cell's rule, without a lookup).
-        half = 1 if x0[axis] >= mid and upper != EXCLUDED else 0
-        cell_id, lo, hi, status = next_id + half, los[half], his[half], (lower, upper)[half]
+        half = 1 if x0[axis] >= mid and upper != _EXCLUDED else 0
+        cell_id, lo, hi, code = next_id + half, los[half], his[half], (lower, upper)[half]
         next_id += 2
-        if status != BAD:
+        if code != _BAD:
             break
-    if status == BAD:
+    if code == _BAD:
         raise RefinementFailedError(
             f"initial cell still bad after {_MAX_BISECTIONS} bisections; "
             "the opacity threshold may be too tight around the initial belief"
@@ -422,11 +442,11 @@ def refine_initial(p: Partition, x0: np.ndarray, m: Mdp) -> Partition:
     # grid index).
     g = next((k for k, held in p.splits.items() if p.ids[first] in held), p.ids[first])
     kept = tuple(i for i in p.splits.get(g, (g,)) if i != p.ids[first])
-    new_lo, new_hi, new_status = zip(*added.values())
+    new_lo, new_hi, new_codes = zip(*added.values())
     return Partition(
         lo=np.concatenate([np.delete(p.lo, first, axis=0), new_lo]),
         hi=np.concatenate([np.delete(p.hi, first, axis=0), new_hi]),
-        status=p.status[:first] + p.status[first + 1:] + new_status,
+        codes=np.concatenate([np.delete(p.codes, first), new_codes]),
         ids=p.ids[:first] + p.ids[first + 1:] + tuple(added),
         grid_edges=p.grid_edges,
         splits={**p.splits, g: kept + tuple(added)},

@@ -12,7 +12,7 @@ import numpy as np
 from .abstraction import BAD_STATE
 from .dynamics import AffineDecomposition, IntervalBox, belief_update, reduce_belief
 from .model import Mdp, Nfa
-from .partition import BAD, Partition, _locate, locate_cell
+from .partition import _BAD, Partition, _locate, locate_cell
 from .synthesis import EditAutomaton, EditEngine
 
 __all__ = [
@@ -185,7 +185,7 @@ def soundness_check(
         for step, a in enumerate(seq, start=1):
             belief = belief_update(belief, a, m)
             next_cell = locate_cell(reduce_belief(belief), p)
-            if p.status[p.row(next_cell)] == BAD:
+            if p.codes[p.row(next_cell)] == _BAD:
                 if BAD_STATE not in raw_t.successors(cell, a):
                     violations.append(
                         SoundnessViolation(

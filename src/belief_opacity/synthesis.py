@@ -391,7 +391,7 @@ def build_edit_automaton(pruned_t: Nfa) -> EditAutomaton:
     state may be reported, so the automaton is the pruned abstraction
     itself with the smallest initial state; nothing is built per edge.
     """
-    if not pruned_t.states:
+    if not pruned_t.order:
         raise ValueError("pruned abstraction is empty")
     return EditAutomaton(pruned=pruned_t)
 
@@ -442,9 +442,9 @@ class EditEngine:
         self._k = len(t.alphabet)
         self.observer_belief = np.array(m.pi0, dtype=float)
         cell = locate_cell(reduce_belief(self.observer_belief), p)
-        if cell not in automaton.states:
+        self._i = t._index.get(cell)  # the current cell's index in pruned.order
+        if self._i is None:
             raise ValueError(f"initial belief cell {cell} is not a state of the edit automaton")
-        self._i = t._index[cell]  # the current cell's index in pruned.order
 
     @property
     def current_cell(self):
@@ -516,12 +516,22 @@ def verify_edit_requirements(
     Runs every real-action sequence up to ``depth`` through the engine under
     each of :data:`STRATEGIES` and checks that an output is always defined,
     that the output word stays within the support automaton's language, and
-    that the observer's secret mass never exceeds the threshold.  The engine
-    of sequence i is seeded ``(0, i)``; the cost grows as ``|actions| ** depth``.
+    that the observer's secret mass never exceeds the threshold.  The
+    support states an output word can reach are tracked as a bitmask, with
+    each state's successors per action as bitmasks read from the support's
+    edge arrays.  The engine of sequence i is seeded ``(0, i)``; the cost
+    grows as ``|actions| ** depth``.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     support = support if support is not None else mdp_to_nfa(m)
+    # the output word's support states as a bitmask over support.order; per
+    # action, the successors of each support state as such a bitmask
+    k, offsets, dst = len(support.alphabet), support.offsets.tolist(), support.dst.tolist()
+    posts = {a: [sum(1 << j for j in dst[offsets[s]:offsets[s + 1]])
+                 for s in range(a_k, len(offsets) - 1, k)]
+             for a_k, a in enumerate(support.alphabet)}
+    initial = sum(1 << support._position(q) for q in support.initial)
     checked = 0
 
     def failed(*counterexample) -> EditVerifyReport:
@@ -535,14 +545,18 @@ def verify_edit_requirements(
     for strategy in STRATEGIES:
         for seq_idx, seq in enumerate(itertools.product(m.actions, repeat=depth)):
             engine = EditEngine(m, p, ea, strategy=strategy, seed=(0, seq_idx))
-            current = set(support.initial)
+            current = initial
             checked += 1
             for step, actual in enumerate(seq, start=1):
                 try:
                     out = engine.step(actual)
                 except EditUndefinedError as exc:
                     return failed(1, strategy, seq, step, str(exc))
-                current = set().union(*(support.successors(q, out) for q in current))
+                post, reached = posts.get(out), 0
+                if post is not None:
+                    for i in _bits(current):
+                        reached |= post[i]
+                current = reached
                 if not current:
                     return failed(2, strategy, seq, step,
                                   f"output word leaves the support language on {out!r}")

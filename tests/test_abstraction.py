@@ -170,6 +170,20 @@ class TestGridIndexedOverlap:
                 f = bo.decomp_eval(d, cell.box.lo, cell.box.hi)
                 assert rlo[row].tobytes() == f.tobytes()
 
+    def test_abstraction_without_edges(self):
+        # no image has mass on s2, so every reach box has zero width on that
+        # axis and meets no cell under ``strict``: no edge at all
+        m = bo.Mdp(states=("s1", "s2", "s3"), pi0=np.array([0.3, 0.3, 0.4]), actions=("a",),
+                   trans={"a": np.array([[0.5] * 3, [0.0] * 3, [0.5] * 3])},
+                   secret=frozenset({0}), threshold=1.0)
+        p = bo.build_grid(0.25, m)
+        nfa = bo.build_abstraction(m, p, overlap_mode="strict")
+        assert nfa.transition_count() == 0
+        assert nfa.order == (*(c.id for c in p.safe_cells()), bo.BAD_STATE)
+        with pytest.raises(bo.InitialCellPrunedError):
+            bo.prune(nfa, next(iter(nfa.initial)))
+        assert bo.build_abstraction(m, p, overlap_mode="closed").transition_count() > 0
+
     def test_refined_reference_with_sparse_ids(self, mdp3):
         # pi0 just under lambda: refine_initial splits the initial grid cell,
         # so the ids skip that cell's and run past the cell count

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from belief_opacity import cli, partition
 from belief_opacity.cli import main
+from belief_opacity.model import serialize_model
 from belief_opacity.synthesis import EditUndefinedError
-from conftest import BLOCKED_INITIAL_DOC, THREE_STATE_DOC
+from conftest import BLOCKED_INITIAL_DOC, THREE_STATE_DOC, random_mdp
 
 
 @pytest.fixture()
@@ -408,6 +410,36 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 of the artifacts of ``abstract``, ``synthesize --mode direct --target
+# s1`` (``allowed.csv`` and ``policy.csv``) and ``synthesize --mode edit`` for
+# the model ``random_mdp(default_rng(seed), n, actions, threshold)`` of
+# conftest, taken before the reach boxes of all actions came from one stacked
+# product per corner: (seed, n, actions, width, threshold) -> (abstract,
+# direct, edit).  Higher dimensions and a third action give the products more
+# rows and columns than the reference model's.  Like PINNED_DIGESTS, these
+# depend on the BLAS kernels NumPy dispatches its products to: a NumPy built
+# against another BLAS, or run on a CPU that selects other kernels, may round
+# the reach boxes differently and change them.
+PINNED_RANDOM_DIGESTS = {
+    (100, 4, 2, "0.1", 1.0): (
+        "6d11e6066b7c1b261c1d3faa9bfcda46916c15b5a251f000f9283fcf31bc83f8",
+        "f09c4875a28bd4715e7311eaa6569795b96aa5762f1fd682a284657bea7a8108",
+        "43467242238546a18f48660b128c2fc711838cc7f934873bd3d7e8c178794a14"),
+    (6, 4, 3, "0.1", 1.0): (
+        "ce221f9385deebb5db54e8a1b6fe56efb3f42f31259871eb95bc216b9db10adf",
+        "fa1ae3f692682ec55afbccbaaeceb19c30e7445951094e58be10fde90dad23fe",
+        "354398773b78a426bf56f709db3323dc67d631e340f109eaa4887e0e81c98eb9"),
+    (28, 5, 2, "0.1", 1.0): (
+        "8cf1666289f676e784c953b560bb8d10407c556cbf2e6285c38473d18631cc28",
+        "4876827211ba78bb33ec9eff3c5567741f0701c81d69918a0b4f2ae954f15183",
+        "a3b30d9a3d9f22b68dae38da86e78b393702a85144569117f3fe5da1ba2a72eb"),
+    (8, 6, 2, "0.2", 0.9): (
+        "d3c370671f9d2010c1d1cfd26db0fab860ee0ae6bcae0209b5d0414eb588c055",
+        "b6ea732993e7ee7e2cbb09af4cbdcacd2a755c8093cfb5753e5f8940fa13dc79",
+        "df57b43dd1d147fea08a999060a44409fac768d11638d2a92bc8864345122de4"),
+}
+
+
 def artifact_digest(out: Path) -> str:
     """sha256 over the files of ``out`` in name order, each as its name, a
     NUL byte and the sha256 of its bytes."""
@@ -464,6 +496,24 @@ class TestDeterminism:
             assert main(argv + ["--out", str(tmp_path / name)]) == 0
             got.append(artifact_digest(tmp_path / name))
         assert tuple(got) == PINNED_DIGESTS[model, width, overlap]
+
+    @pytest.mark.parametrize("seed, n, actions, width, threshold", list(PINNED_RANDOM_DIGESTS))
+    def test_random_model_artifacts_match_pinned_digests(self, tmp_path, seed, n, actions,
+                                                         width, threshold):
+        m = random_mdp(np.random.default_rng(seed), n, actions, threshold=threshold)
+        path = tmp_path / "model.yaml"
+        path.write_text(serialize_model(m))
+        common = ["--model", str(path), "--widths", width]
+        got = []
+        for name, argv in (("abstract", ["abstract", *common]),
+                           ("direct", ["synthesize", *common, "--mode", "direct",
+                                       "--target", "s1"]),
+                           ("edit", ["synthesize", *common, "--mode", "edit"])):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            got.append(artifact_digest(tmp_path / name))
+        assert sorted(p.name for p in (tmp_path / "direct").iterdir()) == [
+            "allowed.csv", "policy.csv"]
+        assert tuple(got) == PINNED_RANDOM_DIGESTS[seed, n, actions, width, threshold]
 
     def test_abstract_twice_is_byte_identical(self, model_file, tmp_path):
         outs = []

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,6 +256,28 @@ class TestLoaders:
             else:
                 raise AssertionError("a document nested 100 000 deep parsed")
         """)
+
+    @needs_libyaml
+    def test_deep_nesting_is_composed_once(self, tmp_path):
+        # the libyaml pass's RecursionError is the outcome: SafeLoader's
+        # composer recurses the same way, so a second pass only repeats it
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code = f"""if True:
+            import sys, yaml
+            class Refuse(yaml.SafeLoader):
+                def __init__(self, stream):
+                    raise AssertionError("SafeLoader was asked")
+            yaml.SafeLoader = Refuse
+            from belief_opacity.cli import main
+            sys.exit(main(["validate", "--model", {str(path)!r}]))
+        """
+        src = str(Path(bo.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "error: invalid model syntax: document nested too deeply\n"
+        assert "Traceback" not in done.stderr
 
     def test_parses_without_libyaml(self, monkeypatch):
         expected = bo.parse_model(THREE_STATE_DOC)

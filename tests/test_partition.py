@@ -85,8 +85,9 @@ class TestGridCeiling:
 
 
 def classify(box, m):
-    """Status of one box by the partition's vectorized classifier."""
-    return bo.partition._classify(box.lo[None], box.hi[None], m)[0]
+    """Status name of one box by the partition's vectorized classifier,
+    which returns status codes."""
+    return bo.partition._STATUS_NAMES[bo.partition._classify(box.lo[None], box.hi[None], m)[0]]
 
 
 def reference_status(box, m):
@@ -150,6 +151,71 @@ class TestArrayPartition:
                                   for s in (bo.SAFE, bo.BAD, bo.EXCLUDED)}
             assert p.safe_cells() == tuple(c for c in p.cells if c.status == bo.SAFE)
         assert refined > 0
+
+
+BAD_CODE = bo.partition._BAD
+
+
+def rule_codes(p, m):
+    """Each row's status code by the rule, row by row: 2 (excluded) when the
+    lower corner sums to >= 1, else 1 (bad) when the upper corner's secret
+    mass exceeds the threshold, else 0 (safe)."""
+    secret = sorted(m.secret)
+    return [2 if float(lo.sum()) >= 1.0 else 1 if float(hi[secret].sum()) > m.threshold else 0
+            for lo, hi in zip(p.lo, p.hi)]
+
+
+@st.composite
+def coded_partitions(draw):
+    """A random model of 2-7 states (1-6 reduced dimensions) with a random
+    threshold, its grid of at most a few thousand cells, and, when its
+    initial cell is bad and the initial belief is not, the refined grid."""
+    n = draw(st.integers(2, 7))
+    per_axis = {2: 40, 3: 20, 4: 10, 5: 6, 6: 4, 7: 3}[n]
+    widths = [1.0 / draw(st.integers(1, per_axis)) if draw(st.booleans())
+              else draw(st.floats(1.0 / per_axis, 1.0)) for _ in range(n - 1)]
+    m = random_mdp(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n,
+                   threshold=draw(st.floats(0.0, 1.0)))
+    p = bo.build_grid(widths, m)
+    x0 = bo.reduce_belief(m.pi0)
+    if m.secret_mass(m.pi0) <= m.threshold and p.codes[p.row(bo.locate_cell(x0, p))] == BAD_CODE:
+        try:
+            p = bo.refine_initial(p, x0, m)
+        except bo.RefinementFailedError:
+            pass
+    return m, p
+
+
+class TestStatusCodes:
+    @settings(max_examples=80, deadline=None)
+    @given(coded_partitions())
+    def test_codes_follow_the_rule(self, case):
+        m, p = case
+        assert p.codes.dtype == np.int8 and not p.codes.flags.writeable
+        assert p.codes.tolist() == rule_codes(p, m)
+        assert p.counts() == dict(zip((bo.SAFE, bo.BAD, bo.EXCLUDED),
+                                      np.bincount(p.codes, minlength=3).tolist()))
+        assert p.status == tuple((bo.SAFE, bo.BAD, bo.EXCLUDED)[c] for c in p.codes.tolist())
+
+    @pytest.mark.parametrize("pi0", [None, (0.5, 0.29, 0.21)], ids=["grid", "refined"])
+    def test_synthesis_and_engine_build_no_status_names(self, mdp3, pi0):
+        m = mdp3 if pi0 is None else replace(mdp3, pi0=np.array(pi0))
+        p = bo.build_grid(0.02, m)
+        x0 = bo.reduce_belief(m.pi0)
+        if p.cell(bo.locate_cell(x0, p)).status == bo.BAD:
+            p = bo.refine_initial(p, x0, m)
+        assert bool(p.splits) == (pi0 is not None)
+        res = bo.abstract(m, p)
+        restricted = bo.prune_blocking(bo.restrict_actions(m, res.pruned))
+        bo.synthesize_reach_policy(restricted, ["s3"])
+        engine = bo.EditEngine(m, p, bo.build_edit_automaton(res.pruned),
+                               strategy="match-if-safe")
+        rng = np.random.default_rng(3)
+        for a in rng.choice(m.actions, size=100):
+            engine.step(str(a))
+        assert "status" not in vars(p) and "cells" not in vars(p)
+        assert p.counts() == {s: p.status.count(s) for s in (bo.SAFE, bo.BAD, bo.EXCLUDED)}
+        assert "status" in vars(p)
 
 
 class TestClassifyCell:

@@ -851,6 +851,21 @@ class TestVerifyEditRequirements:
         assert not report.ok
         assert report.counterexample.requirement == 2
 
+    def test_support_without_the_action_fails_as_one_forbidding_it(self, mdp3, partition3,
+                                                                   abstraction3):
+        # an output outside the support's alphabet leaves its language too
+        support = bo.mdp_to_nfa(mdp3)
+        kept = {k: v for k, v in support.delta.items() if k[1] != "a1"}
+        forbidding = bo.Nfa(states=support.states, alphabet=support.alphabet, delta=kept,
+                            initial=support.initial)
+        narrow = bo.Nfa(states=support.states, alphabet=("a2",), delta=kept,
+                        initial=support.initial)
+        ea = bo.build_edit_automaton(abstraction3.pruned)
+        reports = [bo.verify_edit_requirements(ea, mdp3, partition3, depth=3, support=s)
+                   for s in (forbidding, narrow)]
+        assert reports[0].counterexample.requirement == 2
+        assert reports[0] == reports[1]
+
     def test_missing_outputs_raise_requirement_one(self, mdp3, partition3, abstraction3):
         # strip every transition of the initial state: no output is defined
         # there, whatever really happens
